@@ -8,6 +8,7 @@
 //	verify -json report.json # machine-readable verdicts ("-" for stdout)
 //	verify -inject l1index   # plant a model bug; the run must FAIL
 //	verify -inject dropinval -checks tso-outcomes  # TSO harness self-test
+//	verify -inject latewake -checks diff-skip-replay  # cycle-skip self-test
 //
 // Exit status: 0 all checks passed, 1 at least one invariant violated,
 // 2 the harness itself could not run.
@@ -30,6 +31,7 @@ import (
 	"sparc64v/internal/core"
 	"sparc64v/internal/metamorph"
 	"sparc64v/internal/obs"
+	"sparc64v/internal/system"
 )
 
 func main() {
@@ -37,7 +39,8 @@ func main() {
 }
 
 // injectFault arms the named fault at whichever injection point owns it:
-// cache faults (l1index) and coherence faults (dropinval) share the flag.
+// cache faults (l1index), coherence faults (dropinval) and drive-loop
+// faults (latewake) share the flag.
 func injectFault(name string) bool {
 	if f, ok := cache.FaultByName(name); ok {
 		cache.InjectFault(f)
@@ -45,6 +48,10 @@ func injectFault(name string) bool {
 	}
 	if f, ok := coherence.FaultByName(name); ok {
 		coherence.InjectFault(f)
+		return true
+	}
+	if f, ok := system.FaultByName(name); ok {
+		system.InjectFault(f)
 		return true
 	}
 	return false
@@ -60,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	workers := fs.Int("workers", 0, "concurrent checks (0 = GOMAXPROCS)")
 	jsonOut := fs.String("json", "", "write the JSON verdict report to this file (\"-\" = stdout)")
 	checks := fs.String("checks", "", "comma-separated check subset (default: whole mode catalog)")
-	inject := fs.String("inject", "", "inject a model fault (l1index, dropinval) — the harness must catch it")
+	inject := fs.String("inject", "", "inject a model fault (l1index, dropinval, latewake) — the harness must catch it")
 	profile := fs.String("profile", "", "write a JSON timing+counter profile of every check and run to this file")
 	timeout := fs.Duration("timeout", 15*time.Minute, "abort the run after this long")
 	if err := fs.Parse(args); err != nil {
@@ -72,7 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if !injectFault(*inject) {
-		fmt.Fprintf(stderr, "verify: unknown fault %q (have: l1index, dropinval)\n", *inject)
+		fmt.Fprintf(stderr, "verify: unknown fault %q (have: l1index, dropinval, latewake)\n", *inject)
 		return 2
 	}
 

@@ -7,6 +7,7 @@ import (
 
 	"sparc64v/internal/cache"
 	"sparc64v/internal/coherence"
+	"sparc64v/internal/system"
 )
 
 // These tests arm process-global state (the fault injectors) through the
@@ -34,8 +35,11 @@ func TestUnknownFaultRejected(t *testing.T) {
 	if code != 2 {
 		t.Fatalf("exit = %d, want 2", code)
 	}
-	if msg := errb.String(); !strings.Contains(msg, "l1index") || !strings.Contains(msg, "dropinval") {
-		t.Errorf("stderr %q does not list the known faults", msg)
+	msg := errb.String()
+	for _, want := range []string{"l1index", "dropinval", "latewake"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("stderr %q does not list the known fault %q", msg, want)
+		}
 	}
 }
 
@@ -66,6 +70,26 @@ func TestInjectDropInvalFailsTSOCheck(t *testing.T) {
 		t.Errorf("report does not show the forbidden-outcome failure: %s", msg)
 	}
 	if !strings.Contains(msg, "INJECTED FAULT=dropinval") {
+		t.Errorf("report header does not flag the armed fault: %s", msg)
+	}
+}
+
+// TestInjectLateWakeFailsSkipReplay is the cycle-skip gate's end-to-end
+// self-test: `verify -inject latewake -checks diff-skip-replay` must exit
+// 1 with the differential check FAILING.
+func TestInjectLateWakeFailsSkipReplay(t *testing.T) {
+	defer system.InjectFault(system.FaultNone)
+	var out, errb bytes.Buffer
+	code := run([]string{"-quick", "-insts", "10000", "-checks", "diff-skip-replay", "-inject", "latewake"}, &out, &errb)
+	if code != 1 {
+		t.Fatalf("exit = %d, want 1 (check must FAIL)\nstdout: %s\nstderr: %s",
+			code, out.String(), errb.String())
+	}
+	msg := out.String()
+	if !strings.Contains(msg, "FAIL") || !strings.Contains(msg, "per-cycle reference") {
+		t.Errorf("report does not show the replay divergence: %s", msg)
+	}
+	if !strings.Contains(msg, "INJECTED FAULT=latewake") {
 		t.Errorf("report header does not flag the armed fault: %s", msg)
 	}
 }

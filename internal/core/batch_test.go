@@ -332,33 +332,57 @@ func TestBatchKey(t *testing.T) {
 
 // TestStepMatchesRunContext: a machine driven by arbitrary Step chunks must
 // land on the same terminal state as one driven by RunContext (the batch
-// driver's correctness foundation).
+// driver's correctness foundation). Step and RunContext share one drive
+// loop that lets quiet CPUs sleep, so chunk boundaries fall inside sleeps:
+// the 16P TPC-C case, where most CPUs sleep on memory most of the time,
+// is cut at every cycle, at an odd stride and at the poll stride.
 func TestStepMatchesRunContext(t *testing.T) {
-	p := workload.SPECint95()
-	opt := RunOptions{Insts: 10_000}
-	serial := runSerial(t, []config.Config{config.Base()}, p, opt)
+	for _, tc := range []struct {
+		name   string
+		cfg    config.Config
+		p      workload.Profile
+		insts  int
+		chunks []int
+	}{
+		{"up-specint95", config.Base(), workload.SPECint95(), 10_000, []int{1, 3, 17, 256, 1000}},
+		{"16p-tpcc-1", config.Base().WithCPUs(16), workload.TPCC16P(), 1_500, []int{1}},
+		{"16p-tpcc-7", config.Base().WithCPUs(16), workload.TPCC16P(), 1_500, []int{7}},
+		{"16p-tpcc-4096", config.Base().WithCPUs(16), workload.TPCC16P(), 1_500, []int{4096}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := RunOptions{Insts: tc.insts}
+			serial := runSerial(t, []config.Config{tc.cfg}, tc.p, opt)
 
-	opt.defaults()
-	m, _ := NewModel(config.Base())
-	cfg := m.Config()
-	cfg.WarmupInsts = opt.Warmup
-	gens := workload.NewMP(p, opt.Seed, cfg.CPUs)
-	sys, err := system.New(cfg, []trace.Source{trace.NewLimitSource(gens[0], opt.Insts)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunks := []int{1, 3, 17, 256, 1000}
-	for i := 0; ; i++ {
-		done, capped := sys.Step(chunks[i%len(chunks)], opt.MaxCycles)
-		if capped {
-			t.Fatal("stepped run hit the cycle cap")
-		}
-		if done {
-			break
-		}
-	}
-	r := sys.Report(p.Name)
-	if got, want := reportBytes(t, r), reportBytes(t, serial[0]); got != want {
-		t.Error("stepped report differs from RunContext report")
+			opt.defaults()
+			cfg := tc.cfg
+			cfg.WarmupInsts = opt.Warmup
+			gens := workload.NewMP(tc.p, opt.Seed, cfg.CPUs)
+			srcs := make([]trace.Source, len(gens))
+			for i, g := range gens {
+				srcs[i] = trace.NewLimitSource(g, opt.Insts)
+			}
+			sys, err := system.New(cfg, srcs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; ; i++ {
+				n := tc.chunks[i%len(tc.chunks)]
+				before := sys.Cycle()
+				done, capped := sys.Step(n, opt.MaxCycles)
+				if capped {
+					t.Fatal("stepped run hit the cycle cap")
+				}
+				if got := sys.Cycle() - before; got > uint64(n) {
+					t.Fatalf("Step(%d) advanced %d cycles", n, got)
+				}
+				if done {
+					break
+				}
+			}
+			r := sys.Report(tc.p.Name)
+			if got, want := reportBytes(t, r), reportBytes(t, serial[0]); got != want {
+				t.Error("stepped report differs from RunContext report")
+			}
+		})
 	}
 }

@@ -1,7 +1,8 @@
 package core
 
 // Full-run vs sampled-run benchmarks: the pair that quantifies the sampled
-// simulation speedup on identical inputs. The benchdiff gate
+// simulation speedup on identical inputs, plus a 16P full run for the SMP
+// path. The benchdiff gate
 // (scripts/benchdiff.sh) tracks both, so a regression that erodes the
 // fast-forward advantage — or an allocation added to either path — fails CI.
 // The headline multiprocessor speedup artifact (BENCH_*.json) is produced
@@ -22,16 +23,20 @@ func benchSampleSchedule() config.Sampling {
 }
 
 func benchRun(b *testing.B, opt RunOptions) {
+	benchRunOn(b, config.Base(), workload.SPECint95(), opt)
+}
+
+func benchRunOn(b *testing.B, cfg config.Config, p workload.Profile, opt RunOptions) {
 	b.Helper()
 	b.ReportAllocs()
-	m, err := NewModel(config.Base())
+	m, err := NewModel(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	total := int64(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := m.Run(workload.SPECint95(), opt)
+		r, err := m.Run(p, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -43,6 +48,13 @@ func benchRun(b *testing.B, opt RunOptions) {
 
 func BenchmarkFullRun(b *testing.B) {
 	benchRun(b, RunOptions{Insts: 120_000})
+}
+
+// BenchmarkFullRunSMP is the 16P TPC-C point of the SMP benchmark: 16
+// generators, the snoop bus and DRAM contention, and cores that spend most
+// cycles asleep waiting on memory.
+func BenchmarkFullRunSMP(b *testing.B) {
+	benchRunOn(b, config.Base().WithCPUs(16), workload.TPCC16P(), RunOptions{Insts: 8_000})
 }
 
 func BenchmarkSampledRun(b *testing.B) {

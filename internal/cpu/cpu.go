@@ -7,7 +7,9 @@
 //
 // The model is trace-driven and cycle-driven: System calls Tick once per
 // cycle; stages are processed commit-first so that a freed resource is
-// usable one cycle later, never earlier.
+// usable one cycle later, never earlier. A tick that changes no pipeline
+// state tells System when the next one can (wake.go), so a stalled core
+// sleeps through its quiet cycles instead of ticking them.
 package cpu
 
 import (
@@ -211,10 +213,13 @@ type CPU struct {
 	lastFetchLine uint64 // last I-cache line probed
 	haveLine      bool
 
-	// Load/store queues. drainQ is head-indexed like fetchBuf.
+	// Load/store queues. drainQ is head-indexed like fetchBuf. loadQ
+	// holds, in seq order, the dispatched loads whose cache access has
+	// not happened yet, so the LSQ never walks the whole window.
 	lqCount, sqCount int
 	drainQ           []drainStore
 	drainHead        int
+	loadQ            []uint64
 
 	reveals []reveal
 
@@ -229,6 +234,12 @@ type CPU struct {
 	warmupLeft uint64
 	// Stats is the exported counter block.
 	Stats Stats
+
+	// progressed is set by every stage action that changes pipeline or
+	// memory state; a tick that leaves it clear is quiet (see Tick).
+	progressed bool
+	// quiet is the counter delta of the last quiet tick (CreditQuiet).
+	quiet Stats
 }
 
 const never = ^uint64(0)
@@ -292,6 +303,7 @@ func New(cfg *config.Config, id int, chipMem *ChipMem, src trace.Source) *CPU {
 	// the backing arrays to those bounds makes steady state allocation-free.
 	c.fetchBuf = make([]fetchedInstr, 0, p.FetchBufEntries+1)
 	c.drainQ = make([]drainStore, 0, p.StoreQueueEntries+1)
+	c.loadQ = make([]uint64, 0, p.LoadQueueEntries+1)
 	return c
 }
 
@@ -368,16 +380,26 @@ func (c *CPU) Done() bool {
 		c.inFlight() == 0 && c.drainLen() == 0
 }
 
-// Tick advances the core by one cycle. Stage order is reverse-pipeline so
-// same-cycle structural effects flow realistically.
-func (c *CPU) Tick(cycle uint64) {
+// Tick advances the core by one cycle and returns the next cycle it must
+// tick. Stage order is reverse-pipeline so same-cycle structural effects
+// flow realistically.
+//
+// A tick that changes pipeline or memory state returns cycle+1. A quiet
+// tick — one whose only effect is to count the cycle and its stall causes —
+// returns nextEvent's lower bound on the first later cycle whose tick could
+// differ: every cycle before it would repeat the quiet tick exactly, so a
+// driver may skip those cycles and count them with CreditQuiet.
+// A drained CPU's tick is quiet with an empty delta and no next event.
+func (c *CPU) Tick(cycle uint64) uint64 {
 	if c.Done() {
-		return
+		c.quiet = Stats{}
+		return never
 	}
+	before := c.Stats
+	c.progressed = false
 	c.Stats.Cycles++
-	before := c.Stats.Committed
 	c.commit(cycle)
-	if c.Stats.Committed == before {
+	if c.Stats.Committed == before.Committed {
 		c.attributeZeroCommit(cycle)
 	}
 	c.processReveals(cycle)
@@ -385,6 +407,20 @@ func (c *CPU) Tick(cycle uint64) {
 	c.dispatch(cycle)
 	c.issue(cycle)
 	c.fetch(cycle)
+	if c.progressed {
+		return cycle + 1
+	}
+	c.quiet = c.Stats.Sub(before)
+	return c.nextEvent(cycle)
+}
+
+// CreditQuiet counts n cycles the driver skipped after a quiet tick: it
+// adds that tick's counter delta to Stats n times, exactly what ticking
+// those cycles would have counted, and returns the cycles credited (none
+// for a drained CPU).
+func (c *CPU) CreditQuiet(n uint64) uint64 {
+	c.Stats.AddTimes(&c.quiet, n)
+	return c.quiet.Cycles * n
 }
 
 // commit retires up to CommitWidth completed instructions in order.
@@ -426,6 +462,7 @@ func (c *CPU) commit(cycle uint64) {
 		}
 		e.st = stEmpty
 		c.head++
+		c.progressed = true
 		c.Stats.Committed++
 		c.Stats.CommittedByClass[e.rec.Op]++
 		if c.warmupLeft > 0 {

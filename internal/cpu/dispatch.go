@@ -55,6 +55,7 @@ func (c *CPU) issue(cycle uint64) {
 		}
 
 		// Allocate.
+		c.progressed = true
 		seq := c.tail
 		c.tail++
 		e := &c.window[seq&c.winMask]
@@ -221,6 +222,9 @@ func (c *CPU) compactStation(st int, cycle uint64) {
 		}
 		s = append(s, seq)
 	}
+	if len(s) != len(c.stations[st]) {
+		c.progressed = true
+	}
 	c.stations[st] = s
 }
 
@@ -321,6 +325,7 @@ func (c *CPU) schedule(e *robEntry, st, unit int, cycle uint64, specUntil uint64
 	execStart := cycle + execOffset
 	done := execStart + uint64(lat.Cycles)
 
+	c.progressed = true
 	e.st = stDispatched
 	e.dispCycle = cycle
 	e.specUntil = specUntil
@@ -335,6 +340,9 @@ func (c *CPU) schedule(e *robEntry, st, unit int, cycle uint64, specUntil uint64
 		e.addrReady = done
 		e.fwdCycle = never // set when the access issues
 		e.completeCycle = never
+		if e.isLoad() {
+			c.pendLoad(e.seq)
+		}
 		if e.isStore() {
 			// Stores are architecturally done once address (and, checked
 			// at commit, data) are known.
@@ -373,6 +381,7 @@ func (c *CPU) processReveals(cycle uint64) {
 			continue
 		}
 		c.applyReveal(r)
+		c.progressed = true
 	}
 	c.reveals = kept
 }
@@ -418,6 +427,9 @@ func (c *CPU) cancel(d *robEntry) {
 	d.completeCycle = 0
 	d.specUntil = 0
 	if d.rec.Op.IsMemory() {
+		if d.isLoad() && !d.accessed {
+			c.unpendLoad(d.seq)
+		}
 		d.addrReady = never
 		d.accessed = false
 	}

@@ -21,17 +21,23 @@ func (c *CPU) fetch(cycle uint64) {
 		}
 		return
 	}
-	c.blockSeq = 0
+	if c.blockSeq != 0 {
+		c.blockSeq = 0
+		c.progressed = true
+	}
 
 	width := c.fetchWidth
 	for n := 0; n < width; n++ {
 		if c.fetchBufLen() >= c.fetchBufCap {
 			return
 		}
+		if !c.pendingValid && c.srcDone {
+			return
+		}
+		// From here fetch reads the source, probes the I-cache or
+		// buffers an instruction.
+		c.progressed = true
 		if !c.pendingValid {
-			if c.srcDone {
-				return
-			}
 			if !c.src.Next(&c.pendingRec) {
 				c.srcDone = true
 				return

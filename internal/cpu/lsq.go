@@ -23,6 +23,7 @@ func (c *CPU) lsqTick(cycle uint64) {
 		}
 		b := cache.Bank(addr, banks, bankBytes)
 		if b == bankA || b == bankB {
+			c.progressed = true
 			c.Stats.BankConflicts++
 			return false
 		}
@@ -35,14 +36,17 @@ func (c *CPU) lsqTick(cycle uint64) {
 	}
 
 	// Loads first, oldest first: they are latency-critical.
-	for seq := c.head; seq < c.tail && ports > 0; seq++ {
-		e := c.entry(seq)
-		if e == nil || !e.isLoad() || e.st != stDispatched ||
-			e.accessed || e.addrReady > cycle {
+	for _, seq := range c.loadQ {
+		if ports == 0 {
+			break
+		}
+		e := &c.window[seq&c.winMask]
+		if e.addrReady > cycle {
 			continue
 		}
 		if c.storeForward {
 			if ready, ok, wait := c.forwardFromStore(e, cycle); ok {
+				c.progressed = true
 				ports--
 				e.accessed = true
 				e.completeCycle = ready
@@ -59,6 +63,9 @@ func (c *CPU) lsqTick(cycle uint64) {
 		if !checkBank(e.rec.EA) {
 			continue
 		}
+		// Every access is progress, a refused one included: it counts
+		// L1D and DTLB activity.
+		c.progressed = true
 		res := c.Mem.AccessData(e.rec.EA, false, cycle)
 		if res.Retry {
 			continue // MSHRs full: retry next cycle
@@ -92,6 +99,9 @@ func (c *CPU) lsqTick(cycle uint64) {
 			newFwd: res.Ready + 1,
 		})
 	}
+	if ports < 2 {
+		c.dropAccessedLoads()
+	}
 
 	// Committed stores drain in order with leftover ports.
 	for ports > 0 && c.drainLen() > 0 && c.drainQ[c.drainHead].ok <= cycle {
@@ -99,6 +109,7 @@ func (c *CPU) lsqTick(cycle uint64) {
 		if !checkBank(d.addr) {
 			break
 		}
+		c.progressed = true
 		res := c.Mem.AccessData(d.addr, true, cycle)
 		if res.Retry {
 			break
@@ -142,4 +153,34 @@ func (c *CPU) forwardFromStore(ld *robEntry, cycle uint64) (ready uint64, ok, wa
 		}
 	}
 	return 0, false, false
+}
+
+// pendLoad adds a just-dispatched load to loadQ, the seq-ordered list of
+// dispatched loads still waiting for their cache access.
+func (c *CPU) pendLoad(seq uint64) {
+	c.loadQ = append(c.loadQ, seq)
+	for i := len(c.loadQ) - 1; i > 0 && c.loadQ[i-1] > seq; i-- {
+		c.loadQ[i], c.loadQ[i-1] = c.loadQ[i-1], c.loadQ[i]
+	}
+}
+
+// unpendLoad removes a cancelled load from loadQ.
+func (c *CPU) unpendLoad(seq uint64) {
+	for i, s := range c.loadQ {
+		if s == seq {
+			c.loadQ = append(c.loadQ[:i], c.loadQ[i+1:]...)
+			return
+		}
+	}
+}
+
+// dropAccessedLoads removes the loads lsqTick served from loadQ.
+func (c *CPU) dropAccessedLoads() {
+	kept := c.loadQ[:0]
+	for _, seq := range c.loadQ {
+		if !c.window[seq&c.winMask].accessed {
+			kept = append(kept, seq)
+		}
+	}
+	c.loadQ = kept
 }

@@ -109,6 +109,11 @@ func Catalog() []Check {
 			Run:    checkDiffBatchReplay,
 		},
 		{
+			Name: "diff-skip-replay", Kind: "differential",
+			Detail: "cycle-skipping run reports are byte-identical to a per-cycle replay",
+			Run:    checkDiffSkipReplay,
+		},
+		{
 			Name: "diff-reference-trend", Kind: "differential",
 			Detail: "design-change direction agrees with the in-order reference model",
 			Run:    checkDiffReferenceTrend,

@@ -19,8 +19,9 @@
 //   - differential: independent implementations must agree exactly — the
 //     OoO commit stream against the trace and the reverse-tracer replay,
 //     the LRU cache against a structurally different shadow model, a
-//     cache-served run against the cold simulation that produced it, and
-//     design-change trends against the in-order reference model;
+//     cache-served run against the cold simulation that produced it, a
+//     cycle-skipping run against a per-cycle replay, and design-change
+//     trends against the in-order reference model;
 //   - conformance: the SMP model must obey the SPARC TSO memory model —
 //     litmus-test sweeps (internal/litmus) may never observe a forbidden
 //     outcome and must witness the store-buffer relaxation.
@@ -44,6 +45,7 @@ import (
 	"sparc64v/internal/core"
 	"sparc64v/internal/obs"
 	"sparc64v/internal/sched"
+	"sparc64v/internal/system"
 	"sparc64v/internal/workload"
 )
 
@@ -333,13 +335,17 @@ func selectChecks(opt Options) ([]Check, error) {
 }
 
 // injectedFaults renders the process-wide fault state across all
-// injection points (cache and coherence) for the report header.
+// injection points (cache, coherence and the system drive loop) for the
+// report header.
 func injectedFaults() string {
 	var armed []string
 	if f := cache.InjectedFault(); f != cache.FaultNone {
 		armed = append(armed, f.String())
 	}
 	if f := coherence.InjectedFault(); f != coherence.FaultNone {
+		armed = append(armed, f.String())
+	}
+	if f := system.InjectedFault(); f != system.FaultNone {
 		armed = append(armed, f.String())
 	}
 	if len(armed) == 0 {

@@ -9,6 +9,7 @@ import (
 	"sparc64v/internal/cache"
 	"sparc64v/internal/coherence"
 	"sparc64v/internal/config"
+	"sparc64v/internal/system"
 )
 
 // These tests arm the process-global fault injector, so none of them may
@@ -83,6 +84,25 @@ func TestInjectedCoherenceFaultCaught(t *testing.T) {
 	}
 	if rep.Errors > 0 || rep.Fail == 0 {
 		t.Fatalf("injected dropinval fault escaped tso-outcomes: %+v", rep.Verdicts)
+	}
+	t.Logf("fault caught: %s", rep.Verdicts[0].Detail)
+}
+
+// TestInjectedLateWakeCaught is the cycle-skip gate's self-test: a drive
+// loop that wakes sleeping CPUs one cycle after their bound must fail
+// diff-skip-replay.
+func TestInjectedLateWakeCaught(t *testing.T) {
+	system.InjectFault(system.FaultLateWake)
+	defer system.InjectFault(system.FaultNone)
+	rep, err := Run(context.Background(), Options{Insts: 10_000, Checks: []string{"diff-skip-replay"}})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if rep.Fault != "latewake" {
+		t.Fatalf("report fault = %q, want latewake", rep.Fault)
+	}
+	if rep.Errors > 0 || rep.Fail == 0 {
+		t.Fatalf("injected latewake fault escaped diff-skip-replay: %+v", rep.Verdicts)
 	}
 	t.Logf("fault caught: %s", rep.Verdicts[0].Detail)
 }

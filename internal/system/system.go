@@ -15,6 +15,7 @@ import (
 	"sparc64v/internal/config"
 	"sparc64v/internal/cpu"
 	"sparc64v/internal/mem"
+	"sparc64v/internal/obs"
 	"sparc64v/internal/stats"
 	"sparc64v/internal/trace"
 )
@@ -28,6 +29,12 @@ type System struct {
 	bus   *mem.Bus
 	dram  *mem.DRAM
 	cycle uint64
+
+	// Per-CPU sleep state of the drive loop (advance): wake[i] is the next
+	// cycle CPU i ticks, and quietFrom[i] the first cycle since its last
+	// tick whose quiet-tick counters it has not yet been credited with.
+	wake, quietFrom []uint64
+	fault           Fault
 }
 
 // New builds a machine for cfg; sources supplies one instruction trace per
@@ -39,7 +46,7 @@ func New(cfg config.Config, sources []trace.Source) (*System, error) {
 	if len(sources) != cfg.CPUs {
 		return nil, fmt.Errorf("system: %d sources for %d CPUs", len(sources), cfg.CPUs)
 	}
-	s := &System{cfg: cfg}
+	s := &System{cfg: cfg, fault: injected}
 	s.bus = mem.NewBus(cfg.Mem, cfg.Fidelity.BusContention)
 	s.dram = mem.NewDRAM(cfg.Mem, cfg.Fidelity.BusContention)
 	s.ctrl = coherence.NewController(cfg.Mem, s.bus, s.dram, cfg.Fidelity.CoherenceTiming)
@@ -49,6 +56,8 @@ func New(cfg config.Config, sources []trace.Source) (*System, error) {
 		s.chips = append(s.chips, chip)
 		s.cpus = append(s.cpus, cpu.New(&s.cfg, i, chip, sources[i]))
 	}
+	s.wake = make([]uint64, cfg.CPUs)
+	s.quietFrom = make([]uint64, cfg.CPUs)
 	return s, nil
 }
 
@@ -75,32 +84,96 @@ func (s *System) Run(maxCycles uint64) (uint64, bool) {
 // microseconds of wall time.
 const ctxPollStride = 4096
 
-// RunContext is Run with a cancellation point: the loop polls ctx every
-// ctxPollStride global cycles and stops with ctx.Err() once the context is
-// done. The machine state stays consistent on early return — Report still
-// snapshots whatever was simulated up to the cancellation cycle.
+// RunContext is Run with a cancellation point: the loop polls ctx at every
+// ctxPollStride-cycle boundary and stops there with ctx.Err() once the
+// context is done. The machine state stays consistent on early return —
+// Report still snapshots whatever was simulated up to the cancellation
+// cycle.
 func (s *System) RunContext(ctx context.Context, maxCycles uint64) (uint64, bool, error) {
 	if maxCycles == 0 {
 		maxCycles = 1 << 62
 	}
+	drained, err := s.advance(ctx, maxCycles)
+	return s.cycle, !drained && err == nil, err
+}
+
+// never is a wake cycle that does not come.
+const never = ^uint64(0)
+
+// skippedCycles counts the per-CPU cycles the drive loop credited in bulk
+// instead of ticking, summed over every machine in the process.
+var skippedCycles = obs.Default().Counter("sparc64v_sim_skipped_cycles_total",
+	"Per-CPU cycles the detailed core slept through and was credited with in bulk.")
+
+// advance is the one drive loop under RunContext and Step. It runs the
+// machine from the current cycle until every CPU drains (drained), the
+// clock reaches stop, or ctx is done (its error). At each cycle it ticks,
+// in index order, the CPUs due then. A CPU whose tick was quiet sleeps
+// until the cycle its tick named, and the clock jumps straight to the
+// earliest cycle any CPU is due. Every cycle a CPU sleeps through would
+// have repeated its quiet tick, so the loop credits the CPU with that
+// tick's counter delta per cycle instead: the machine evolves exactly as
+// if every CPU were ticked on every cycle. When ctx can be cancelled the
+// clock also stops at every ctxPollStride boundary to poll it.
+func (s *System) advance(ctx context.Context, stop uint64) (drained bool, err error) {
 	done := ctx.Done()
-	for s.cycle < maxCycles {
-		if done != nil && s.cycle&(ctxPollStride-1) == 0 {
+	pollAt := never
+	if done != nil {
+		pollAt = (s.cycle + ctxPollStride - 1) &^ (ctxPollStride - 1)
+	}
+	// Sleep state does not survive between calls: callers may change a CPU
+	// in between (the sampling driver refills drained sources), so every
+	// CPU ticks at the first cycle.
+	for i := range s.cpus {
+		s.wake[i], s.quietFrom[i] = s.cycle, s.cycle
+	}
+	var skipped uint64
+loop:
+	for s.cycle < stop {
+		if s.cycle == pollAt {
+			pollAt += ctxPollStride
 			select {
 			case <-done:
-				return s.cycle, false, ctx.Err()
+				err = ctx.Err()
+				break loop
 			default:
 			}
 		}
 		if s.Done() {
-			return s.cycle, false, nil
+			drained = true
+			break
 		}
-		for _, c := range s.cpus {
-			c.Tick(s.cycle)
+		next := never
+		for i, c := range s.cpus {
+			if s.wake[i] == s.cycle {
+				skipped += s.creditCPU(i, s.cycle)
+				w := c.Tick(s.cycle)
+				if s.fault == FaultLateWake && w > s.cycle+1 && w != never {
+					w++
+				}
+				s.wake[i], s.quietFrom[i] = w, s.cycle+1
+			}
+			next = min(next, s.wake[i])
 		}
-		s.cycle++
+		s.cycle = min(next, pollAt, stop)
 	}
-	return s.cycle, true, nil
+	for i := range s.cpus {
+		skipped += s.creditCPU(i, s.cycle)
+	}
+	skippedCycles.Add(skipped)
+	return drained, err
+}
+
+// creditCPU credits CPU i with every cycle it slept through before cycle
+// and returns the cycles credited.
+func (s *System) creditCPU(i int, cycle uint64) uint64 {
+	end := min(s.wake[i], cycle)
+	if end <= s.quietFrom[i] {
+		return 0
+	}
+	n := s.cpus[i].CreditQuiet(end - s.quietFrom[i])
+	s.quietFrom[i] = end
+	return n
 }
 
 // Cycle returns the current global cycle.

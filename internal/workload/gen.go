@@ -32,12 +32,15 @@ type slot struct {
 }
 
 // block is a static basic block: body slots followed by one conditional
-// branch (or, for a function's last block, the loop-back branch).
+// branch (or, for a function's last block, the loop-back branch). Its
+// slots are Gen.slots[first : first+n]; holding indices rather than a
+// slice keeps the block table pointer-free, so the collector never scans
+// it.
 type block struct {
-	pc     uint64
-	slots  []slot
-	takenP float64 // static bias of the terminating conditional branch
-	callee int32   // function called from this block, or -1
+	pc       uint64
+	takenP   float64 // static bias of the terminating conditional branch
+	callee   int32   // function called from this block, or -1
+	first, n int32   // slot range in Gen.slots
 }
 
 // function is a contiguous run of blocks ending in a loop-back branch and a
@@ -78,10 +81,16 @@ type Gen struct {
 	rng      *rand.Rand
 	cpu      int
 	blocks   []block
+	slots    []slot // every block's slots, in block order
 	funcs    []function
 	regions  []regionState
 	regdescs []Region // effective region descriptors (incl. Shared)
 	zipfCDF  []float64
+
+	// pickRegion's tables: each region's load and store weight, and
+	// their totals summed in region order.
+	loadW, storeW         []float64
+	loadTotal, storeTotal float64
 
 	stack []frame
 	buf   []trace.Record
@@ -183,23 +192,26 @@ func (g *Gen) buildRegions() {
 			rs.stride = 64
 		}
 		g.regions = append(g.regions, rs)
+		g.loadW = append(g.loadW, regionWeight(r, false))
+		g.storeW = append(g.storeW, regionWeight(r, true))
+		g.loadTotal += g.loadW[len(g.loadW)-1]
+		g.storeTotal += g.storeW[len(g.storeW)-1]
 	}
 }
 
 func (g *Gen) pickRegion(store bool) int8 {
-	regs := g.regdescs
-	var total float64
-	for _, r := range regs {
-		total += regionWeight(r, store)
+	weights, total := g.loadW, g.loadTotal
+	if store {
+		weights, total = g.storeW, g.storeTotal
 	}
 	x := g.rng.Float64() * total
-	for i, r := range regs {
-		x -= regionWeight(r, store)
+	for i, w := range weights {
+		x -= w
 		if x < 0 {
 			return int8(i)
 		}
 	}
-	return int8(len(regs) - 1)
+	return int8(len(weights) - 1)
 }
 
 func regionWeight(r Region, store bool) float64 {
@@ -216,10 +228,16 @@ func regionWeight(r Region, store bool) float64 {
 }
 
 // buildProgram lays out the static code: functions, blocks, slots, branch
-// biases and the static call graph.
+// biases and the static call graph. Blocks and slots are carved from two
+// slabs sized for the largest possible program, so a build makes a handful
+// of allocations instead of one per block.
 func (g *Gen) buildProgram() {
 	p := &g.prof
 	classes, weights := mixTables(p.Mix)
+	var wtotal float64
+	for _, w := range weights {
+		wtotal += w
+	}
 	fpShare := 0.0
 	for c, w := range p.Mix {
 		if c.IsFloat() {
@@ -229,6 +247,10 @@ func (g *Gen) buildProgram() {
 	pc := uint64(codeBase)
 	nf := p.NumFuncs
 	g.funcs = make([]function, nf)
+	g.blocks = make([]block, 0, nf*p.BlocksPerFunc)
+	// A block holds at most max(BlockLen+2, 3) slots (see n below), so
+	// the slab never grows.
+	g.slots = make([]slot, 0, nf*p.BlocksPerFunc*max(p.BlockLen+2, 3))
 	for f := 0; f < nf; f++ {
 		fn := &g.funcs[f]
 		fn.first = len(g.blocks)
@@ -239,14 +261,14 @@ func (g *Gen) buildProgram() {
 			if n < 3 {
 				n = 3
 			}
-			blk := block{pc: pc, callee: -1}
+			blk := block{pc: pc, callee: -1, first: int32(len(g.slots)), n: int32(n)}
 			for s := 0; s < n-1; s++ {
 				sl := slot{region: -1}
 				switch {
 				case g.rng.Float64() < p.SpecialFrac:
 					sl.class = isa.Special
 				default:
-					sl.class = classes[sample(g.rng, weights)]
+					sl.class = classes[sample(g.rng, weights, wtotal)]
 				}
 				if sl.class.IsMemory() {
 					sl.region = g.pickRegion(sl.class == isa.Store)
@@ -254,10 +276,10 @@ func (g *Gen) buildProgram() {
 						sl.fpDest = g.rng.Float64() < fpShare*1.8
 					}
 				}
-				blk.slots = append(blk.slots, sl)
+				g.slots = append(g.slots, sl)
 			}
 			// Terminating conditional branch (loop-back for the last block).
-			blk.slots = append(blk.slots, slot{class: isa.Branch, region: -1})
+			g.slots = append(g.slots, slot{class: isa.Branch, region: -1})
 			if g.rng.Float64() < p.BiasedFrac {
 				blk.takenP = p.BiasedTaken
 				if g.rng.Float64() < 0.3 {
@@ -269,7 +291,7 @@ func (g *Gen) buildProgram() {
 			if g.rng.Float64() < p.CallFrac {
 				blk.callee = int32(g.rng.Intn(nf))
 			}
-			pc += uint64(len(blk.slots)) * isa.InstrBytes
+			pc += uint64(n) * isa.InstrBytes
 			if blk.callee >= 0 {
 				pc += isa.InstrBytes // reserve the call slot on the fall-through path
 			}
@@ -357,11 +379,9 @@ func mixTables(mix map[isa.Class]float64) ([]isa.Class, []float64) {
 	return classes, weights
 }
 
-func sample(rng *rand.Rand, weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		total += w
-	}
+// sample draws an index with probability proportional to its weight;
+// total is the weights' sum, accumulated in index order.
+func sample(rng *rand.Rand, weights []float64, total float64) int {
 	x := rng.Float64() * total
 	for i, w := range weights {
 		x -= w
@@ -444,8 +464,9 @@ func (g *Gen) refill() {
 	last := fr.blockIdx == fn.nblocks-1
 	fellThrough := false
 	pc := blk.pc
-	for i, sl := range blk.slots {
-		isTerm := i == len(blk.slots)-1
+	slots := g.slots[blk.first : blk.first+blk.n]
+	for i, sl := range slots {
+		isTerm := i == len(slots)-1
 		var rec trace.Record
 		rec.PC = pc
 		rec.Dst, rec.Src1, rec.Src2 = isa.RegNone, isa.RegNone, isa.RegNone
