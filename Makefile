@@ -7,10 +7,15 @@ INSTS ?= 1000000
 # with unchanged config+workload+seed+model are served without simulating.
 CACHE_DIR ?= .simcache
 
-.PHONY: build test race bench benchdiff bench-baseline sampling-speedup sweep accuracy serve smoke cluster-smoke verify verify-quick litmus clean
+.PHONY: build loc test race bench benchdiff bench-baseline sampling-speedup sweep accuracy serve smoke cluster-smoke verify verify-quick litmus clean
 
 build:
 	$(GO) build ./...
+
+# Non-test Go lines outside perfbench/: the code-size trend the design aim
+# tracks (ROADMAP). It prints the count and never gates.
+loc:
+	@git ls-files '*.go' | grep -v _test.go | grep -v '^perfbench/' | xargs cat | wc -l
 
 test:
 	$(GO) test ./...

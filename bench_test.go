@@ -1,6 +1,7 @@
 package sparc64v
 
 import (
+	"context"
 	"testing"
 
 	"sparc64v/internal/core"
@@ -34,7 +35,7 @@ func BenchmarkTable1Base(b *testing.B) {
 	total := int64(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := m.Run(TPCC(), opt)
+		r, err := m.RunContext(context.Background(), TPCC(), opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -49,7 +50,7 @@ func BenchmarkFig07Breakdown(b *testing.B) {
 	m, _ := NewModel(BaseConfig())
 	opt := benchOpt()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Breakdown(TPCC(), opt); err != nil {
+		if _, err := m.BreakdownContext(context.Background(), TPCC(), opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -58,7 +59,7 @@ func BenchmarkFig07Breakdown(b *testing.B) {
 func BenchmarkFig08IssueWidth(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Fig08(benchOpt()); err != nil {
+		if _, err := Fig08(context.Background(), benchOpt()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -67,7 +68,7 @@ func BenchmarkFig08IssueWidth(b *testing.B) {
 func BenchmarkFig09BHT(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Fig09and10(benchOpt()); err != nil {
+		if _, _, err := Fig09and10(context.Background(), benchOpt()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -76,7 +77,7 @@ func BenchmarkFig09BHT(b *testing.B) {
 func BenchmarkFig11L1(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := Fig11to13(benchOpt()); err != nil {
+		if _, _, _, err := Fig11to13(context.Background(), benchOpt()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -85,7 +86,7 @@ func BenchmarkFig11L1(b *testing.B) {
 func BenchmarkFig14L2(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Fig14and15(benchOpt()); err != nil {
+		if _, _, err := Fig14and15(context.Background(), benchOpt()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -94,7 +95,7 @@ func BenchmarkFig14L2(b *testing.B) {
 func BenchmarkFig16Prefetch(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Fig16and17(benchOpt()); err != nil {
+		if _, _, err := Fig16and17(context.Background(), benchOpt()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -103,7 +104,7 @@ func BenchmarkFig16Prefetch(b *testing.B) {
 func BenchmarkFig18RS(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Fig18(benchOpt()); err != nil {
+		if _, err := Fig18(context.Background(), benchOpt()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -112,7 +113,7 @@ func BenchmarkFig18RS(b *testing.B) {
 func BenchmarkFig19Accuracy(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Fig19(benchOpt()); err != nil {
+		if _, err := Fig19(context.Background(), benchOpt()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -129,7 +130,7 @@ func benchConfig(b *testing.B, cfg Config, p Profile) {
 	}
 	opt := benchOpt()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Run(p, opt); err != nil {
+		if _, err := m.RunContext(context.Background(), p, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -191,7 +192,7 @@ func BenchmarkSimulatorSpeed(b *testing.B) {
 	total := int64(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := m.Run(SPECint95(), opt)
+		r, err := m.RunContext(context.Background(), SPECint95(), opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -212,8 +213,8 @@ func BenchmarkSchedulerSweep(b *testing.B) {
 	total := int64(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reports, err := sched.Map(len(profiles), sched.Options{Workers: opt.Workers},
-			func(j int) (system.Report, error) { return m.Run(profiles[j], opt) })
+		reports, err := sched.MapCtx(context.Background(), len(profiles), sched.Options{Workers: opt.Workers},
+			func(ctx context.Context, j int) (system.Report, error) { return m.RunContext(ctx, profiles[j], opt) })
 		if err != nil {
 			b.Fatal(err)
 		}

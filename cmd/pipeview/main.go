@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -50,7 +51,7 @@ func main() {
 			events = append(events, *e)
 		}
 	})
-	sys.Run(100_000_000)
+	sys.RunContext(context.Background(), 100_000_000)
 
 	if len(events) == 0 {
 		fmt.Println("no events traced")

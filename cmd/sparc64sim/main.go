@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -137,7 +138,7 @@ func main() {
 		fatal("%v", err)
 	}
 	if *breakdown {
-		br, err := m.Breakdown(prof, opt)
+		br, err := m.BreakdownContext(context.Background(), prof, opt)
 		if err != nil {
 			fatal("%v", err)
 		}
@@ -145,7 +146,7 @@ func main() {
 		fmt.Printf("  IPC %.3f, breakdown: %s\n", br.Base.IPC(), br.Breakdown.String())
 		return
 	}
-	r, err := m.Run(prof, opt)
+	r, err := m.RunContext(context.Background(), prof, opt)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -172,7 +173,7 @@ func runTraceFile(cfg config.Config, path string, opt core.RunOptions, verbose, 
 	if err != nil {
 		fatal("%v", err)
 	}
-	r, err := m.RunSources(path, []trace.Source{rd}, opt)
+	r, err := m.RunSourcesContext(context.Background(), path, []trace.Source{rd}, opt)
 	if err != nil {
 		fatal("%v", err)
 	}

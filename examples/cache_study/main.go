@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,6 +12,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	workloads := sparc64v.Workloads()
 	opt := sparc64v.RunOptions{Insts: 150_000}
 
@@ -33,7 +35,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		r, err := m.Run(p, opt)
+		r, err := m.RunContext(ctx, p, opt)
 		if err != nil {
 			log.Fatal(err)
 		}

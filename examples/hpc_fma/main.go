@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	kernel := sparc64v.HPC()
 	opt := sparc64v.RunOptions{Insts: 200_000}
 
@@ -25,7 +27,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		r, err := m.Run(kernel, opt)
+		r, err := m.RunContext(ctx, kernel, opt)
 		if err != nil {
 			log.Fatal(err)
 		}

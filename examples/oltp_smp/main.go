@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,6 +13,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	profile := sparc64v.TPCC16P()
 	fmt.Println("TPC-C scaling on the SPARC64 V SMP model")
 	fmt.Println("CPUs  per-CPU IPC  aggregate  C2C xfers  invalidations  bus wait")
@@ -22,7 +24,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		report, err := model.Run(profile, sparc64v.RunOptions{Insts: 120_000})
+		report, err := model.RunContext(ctx, profile, sparc64v.RunOptions{Insts: 120_000})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,6 +13,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	opt := sparc64v.RunOptions{Insts: 200_000}
 	withCfg := sparc64v.BaseConfig()
 	withoutCfg := sparc64v.BaseConfig().WithoutPrefetch()
@@ -27,11 +29,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rw, err := mWith.Run(p, opt)
+		rw, err := mWith.RunContext(ctx, p, opt)
 		if err != nil {
 			log.Fatal(err)
 		}
-		ro, err := mWithout.Run(p, opt)
+		ro, err := mWithout.RunContext(ctx, p, opt)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -43,11 +45,11 @@ func main() {
 
 		// Where do the cycles go? The Figure 7 attribution, with and
 		// without prefetching.
-		bw, err := mWith.Breakdown(p, opt)
+		bw, err := mWith.BreakdownContext(ctx, p, opt)
 		if err != nil {
 			log.Fatal(err)
 		}
-		bo, err := mWithout.Breakdown(p, opt)
+		bo, err := mWithout.BreakdownContext(ctx, p, opt)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,13 +12,14 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	model, err := sparc64v.NewModel(sparc64v.BaseConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
 	opt := sparc64v.RunOptions{Insts: 200_000, Seed: 1}
 	for _, profile := range []sparc64v.Profile{sparc64v.SPECint95(), sparc64v.TPCC()} {
-		report, err := model.Run(profile, opt)
+		report, err := model.RunContext(ctx, profile, opt)
 		if err != nil {
 			log.Fatal(err)
 		}

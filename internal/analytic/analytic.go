@@ -152,9 +152,11 @@ func (f *Features) Terms(cfg config.Config) (Terms, map[string]float64) {
 	// latency beyond a single cycle (mostly hidden by the out-of-order
 	// window; the calibrated coefficient prices how much is not).
 	issue := 1 / float64(cfg.CPU.IssueWidth)
+	// Summed in class order, not map order, so the estimate is the same
+	// to the bit on every call.
 	var exec float64
-	for name, w := range f.ClassWeights {
-		if cl, ok := classByName(name); ok {
+	for cl := isa.Class(0); int(cl) < isa.NumClasses; cl++ {
+		if w, ok := f.ClassWeights[cl.String()]; ok {
 			exec += w * float64(cfg.CPU.Latencies[cl].Cycles-1)
 		}
 	}
@@ -214,17 +216,6 @@ func scalePow(rate float64, ref, cur int, exp float64) float64 {
 // scaleCache applies the capacity and associativity power laws together.
 func scaleCache(mpki float64, refBytes, curBytes, refWays, curWays int) float64 {
 	return scalePow(scalePow(mpki, refBytes, curBytes, sizeExp), refWays, curWays, waysExp)
-}
-
-// classByName inverts isa.Class.String. The class space is tiny, so a
-// linear scan is simpler than maintaining a parallel map.
-func classByName(name string) (isa.Class, bool) {
-	for c := 0; c < isa.NumClasses; c++ {
-		if isa.Class(c).String() == name {
-			return isa.Class(c), true
-		}
-	}
-	return 0, false
 }
 
 // Coefficients are the calibrated per-workload weights of the grouped

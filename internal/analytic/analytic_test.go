@@ -214,3 +214,32 @@ func TestMeasureFeaturesRejectsMP(t *testing.T) {
 		t.Errorf("MP report: got %v", err)
 	}
 }
+
+// TestEstimateBitReproducible pins the fast tier to the bit: repeating an
+// estimate of the same (configuration, workload) must return the identical
+// CPI every time, whatever order Go iterates the feature maps in.
+func TestEstimateBitReproducible(t *testing.T) {
+	cal, err := Default()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range cal.Workloads {
+		name := w.Features.Workload
+		for _, cfg := range Ladder(config.Base()) {
+			first, err := cal.Estimate(cfg, name)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, cfg.Name, err)
+			}
+			for i := 0; i < 200; i++ {
+				e, err := cal.Estimate(cfg, name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(e.CPI) != math.Float64bits(first.CPI) {
+					t.Fatalf("%s/%s: call %d CPI %x, first call %x", name, cfg.Name, i,
+						math.Float64bits(e.CPI), math.Float64bits(first.CPI))
+				}
+			}
+		}
+	}
+}

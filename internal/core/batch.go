@@ -7,18 +7,19 @@ package core
 // generation, or file decode) repeats identically once per configuration.
 // RunBatch performs that work once: one trace.Fanout per CPU stream feeds
 // every member's machine through per-member cursors, and the driver
-// advances the members in lockstep rounds. Per-member mutable state stays
-// entirely inside each member's system.System slab (the system.Instance
-// interface is all the driver touches), so members are independent: each
-// produces a Report byte-identical to its own serial run (pinned by
-// TestRunBatchMatchesSerial), finishes, caps or errors individually, and is
-// keyed/cached in the runcache individually.
+// advances the members in lockstep rounds. Each member is a run (run.go)
+// whose mutable state stays entirely inside its own machine, so members
+// are independent: each produces a Report byte-identical to its own serial
+// run (pinned by TestRunBatchMatchesSerial), finishes, caps or errors
+// individually, and is keyed/cached in the runcache individually.
 //
-// Scheduling rule: a member may advance k cycles in a round only if every
-// one of its cursors can serve k × SourceReadBound records (or its stream
-// has hit EOF). The ring's back-pressure bounds how far members drift apart
-// in the trace; after each Fill the slowest member always sees a full ring,
-// so it always advances — the batch cannot deadlock on a single stream. On
+// Scheduling rule: a member takes its next step in a round only if none of
+// its cursors is starved for the step's demand (run.need: batchStride ×
+// SourceReadBound records for a full run, a fast-forward chunk or a
+// detailed window for a sampled one). The ring's back-pressure bounds how
+// far members drift apart in the trace; after each Fill the slowest member
+// always sees a full ring, so it always advances — the batch cannot
+// deadlock on a single stream. On
 // multi-CPU machines, mutual starvation across *different* streams is
 // theoretically possible (members' relative progress would have to invert
 // by a whole ring depth on two streams at once); a round that advances no
@@ -209,11 +210,7 @@ func RunBatch(ctx context.Context, cfgs []config.Config, p workload.Profile, opt
 		fans[c] = trace.NewFanout(trace.NewLimitSource(gens[c], opt.Insts), depth, len(live))
 	}
 
-	if opt.Sample.Enabled() {
-		runBatchSampled(ctx, models, live, fans, p, opt, reps, errs)
-	} else {
-		runBatchFull(ctx, models, live, fans, p, opt, reps, errs)
-	}
+	lockstep(ctx, models, live, fans, p, opt, reps, errs)
 
 	// Cache post-pass: store every member that simulated to completion.
 	// Errored/cancelled members are never stored (the GetOrRun rule).
@@ -238,180 +235,60 @@ func RunBatch(ctx context.Context, cfgs []config.Config, p workload.Profile, opt
 	return reps, errs
 }
 
-// fullMember is one full-run batch member's driver state.
-type fullMember struct {
+// member is one batch member: its run and its cursors on the shared rings.
+type member struct {
 	idx     int
-	m       *Model
-	sys     *system.System
-	inst    system.Instance
+	r       run
 	cursors []*trace.Cursor
-	sp      *obs.Span
 }
 
-// finish closes the member out exactly like the serial full-run path:
-// report snapshot, cap/cancel error formatting, meter and span accounting.
-func (bm *fullMember) finish(label string, opt RunOptions, capped bool, cerr error) (system.Report, error) {
+// starved reports that the shared rings cannot feed the member's next step.
+func (bm *member) starved() bool {
+	cpu, n := bm.r.need()
+	if cpu >= 0 {
+		return bm.cursors[cpu].Starved(n)
+	}
 	for _, cur := range bm.cursors {
-		cur.Close()
+		if cur.Starved(n) {
+			return true
+		}
 	}
-	batchOccupancy.Add(-1)
-	endReport := bm.sp.Phase(obs.PhaseReport)
-	r := bm.sys.Report(label)
-	r.HitCap = capped
-	meterInstrs.Add(r.Committed)
-	meterCycles.Add(r.Cycles)
-	meterRuns.Add(1)
-	endReport()
-	spanReport(bm.sp, r)
-	bm.sp.Add("batched", 1)
-	bm.sp.Finish()
-	if cerr != nil {
-		return r, fmt.Errorf("core: %s/%s cancelled: %w", bm.m.cfg.Name, label, cerr)
-	}
-	if capped {
-		return r, fmt.Errorf("core: %s/%s hit the %d-cycle cap", bm.m.cfg.Name, label, opt.MaxCycles)
-	}
-	return r, nil
+	return false
 }
 
-// runBatchFull advances full detailed runs in lockstep: each round refills
-// the rings, then gives every member up to batchStride cycles, skipping
-// members whose cursors cannot cover the round's worst-case fetch demand.
-func runBatchFull(ctx context.Context, models []*Model, live []int, fans []*trace.Fanout,
-	p workload.Profile, opt RunOptions, reps []system.Report, errs []error) {
-	label := p.Name
-	cpus := len(fans)
-	members := make([]*fullMember, 0, len(live))
-	for slot, idx := range live {
-		m := models[idx]
-		cfg := m.cfg
-		cfg.WarmupInsts = opt.Warmup
-		sp := opt.Obs.StartSpan("run", label)
-		endBuild := sp.Phase(obs.PhaseBuild)
-		curs := make([]*trace.Cursor, cpus)
-		srcs := make([]trace.Source, cpus)
-		for c := 0; c < cpus; c++ {
-			curs[c] = fans[c].Cursor(slot)
-			srcs[c] = curs[c]
-		}
-		sys, err := system.New(cfg, srcs)
-		endBuild()
-		if err != nil {
-			// Cannot happen for NewModel-validated configs; close out
-			// defensively so the ring is not pinned forever.
-			for _, cur := range curs {
-				cur.Close()
-			}
-			batchOccupancy.Add(-1)
-			errs[idx] = err
-			continue
-		}
-		members = append(members, &fullMember{idx: idx, m: m, sys: sys, inst: sys, cursors: curs, sp: sp})
-	}
-
-	done := ctx.Done()
-	for len(members) > 0 {
-		if done != nil {
-			select {
-			case <-done:
-				for _, bm := range members {
-					reps[bm.idx], errs[bm.idx] = bm.finish(label, opt, false, ctx.Err())
-				}
-				return
-			default:
-			}
-		}
-		for _, f := range fans {
-			f.Fill()
-		}
-		progressed := false
-		next := members[:0]
-		for _, bm := range members {
-			k := batchStride
-			for c, cur := range bm.cursors {
-				if fans[c].EOF() {
-					continue
-				}
-				if kc := cur.Buffered() / bm.inst.SourceReadBound(c); kc < k {
-					k = kc
-				}
-			}
-			if k == 0 {
-				// Starved: a slower member pins the ring. Skip this round.
-				next = append(next, bm)
-				continue
-			}
-			endSim := bm.sp.Phase(obs.PhaseSim)
-			mdone, capped := bm.inst.Step(k, opt.MaxCycles)
-			endSim()
-			progressed = true
-			if mdone || capped {
-				reps[bm.idx], errs[bm.idx] = bm.finish(label, opt, capped, nil)
-			} else {
-				next = append(next, bm)
-			}
-		}
-		members = next
-		if !progressed && len(members) > 0 {
-			// Cross-stream starvation (see package comment): peel one member
-			// off and re-run it serially so the rest can move.
-			bm := members[0]
-			members = members[1:]
-			for _, cur := range bm.cursors {
-				cur.Close()
-			}
-			batchOccupancy.Add(-1)
-			batchStallRestarts.Inc()
-			o := opt
-			o.Cache = nil // the batch post-pass stores it like any member
-			reps[bm.idx], errs[bm.idx] = bm.m.RunContext(ctx, p, o)
-		}
-	}
-}
-
-// sampledMember is one sampled batch member's driver state.
-type sampledMember struct {
-	idx     int
-	run     *sampledRun
-	cursors []*trace.Cursor
-}
-
-func (bm *sampledMember) close() {
+// leave releases the member's cursors so it no longer pins the rings.
+func (bm *member) leave() {
 	for _, cur := range bm.cursors {
 		cur.Close()
 	}
 	batchOccupancy.Add(-1)
 }
 
-// runBatchSampled advances sampled runs in lockstep. Each member is a
-// sampledRun state machine (sample.go); a round steps every member whose
-// next action — a fast-forward chunk or one detailed window — the shared
-// rings can feed. The per-member action sequence is exactly the serial
-// one, so sampled reports stay byte-identical batched vs serial.
-func runBatchSampled(ctx context.Context, models []*Model, live []int, fans []*trace.Fanout,
+// lockstep is the batch loop: each round refills the rings, then steps
+// every member whose cursors can feed its next step. A run takes the same
+// steps here as under the serial loop, so batching never changes a Report.
+func lockstep(ctx context.Context, models []*Model, live []int, fans []*trace.Fanout,
 	p workload.Profile, opt RunOptions, reps []system.Report, errs []error) {
-	cpus := len(fans)
-	members := make([]*sampledMember, 0, len(live))
+	members := make([]*member, 0, len(live))
 	for slot, idx := range live {
-		curs := make([]*trace.Cursor, cpus)
-		srcs := make([]trace.Source, cpus)
-		for c := 0; c < cpus; c++ {
-			curs[c] = fans[c].Cursor(slot)
+		curs := make([]*trace.Cursor, len(fans))
+		srcs := make([]trace.Source, len(fans))
+		for c, f := range fans {
+			curs[c] = f.Cursor(slot)
 			srcs[c] = curs[c]
 		}
-		run, err := newSampledRun(models[idx], p.Name, srcs, opt)
+		bm := &member{idx: idx, cursors: curs}
+		r, err := models[idx].newRun(p.Name, srcs, opt, batchStride)
 		if err != nil {
-			for _, cur := range curs {
-				cur.Close()
-			}
-			batchOccupancy.Add(-1)
+			bm.leave()
 			errs[idx] = err
 			continue
 		}
-		bm := &sampledMember{idx: idx, run: run, cursors: curs}
-		if run.stage == stageDone { // degenerate schedule: finished at birth
-			reps[idx], errs[idx] = run.finish()
-			bm.close()
+		bm.r = r
+		r.span().Add("batched", 1)
+		if r.done() { // degenerate sampled schedule: finished at birth
+			bm.leave()
+			reps[idx], errs[idx] = r.finish()
 			continue
 		}
 		members = append(members, bm)
@@ -423,9 +300,9 @@ func runBatchSampled(ctx context.Context, models []*Model, live []int, fans []*t
 			select {
 			case <-done:
 				for _, bm := range members {
-					bm.run.cancel(ctx.Err())
-					reps[bm.idx], errs[bm.idx] = bm.run.finish()
-					bm.close()
+					bm.leave()
+					bm.r.cancel(ctx.Err())
+					reps[bm.idx], errs[bm.idx] = bm.r.finish()
 				}
 				return
 			default:
@@ -437,40 +314,31 @@ func runBatchSampled(ctx context.Context, models []*Model, live []int, fans []*t
 		progressed := false
 		next := members[:0]
 		for _, bm := range members {
-			cpu, need := bm.run.needRecords()
-			starved := false
-			if cpu >= 0 {
-				starved = bm.cursors[cpu].Starved(need)
-			} else {
-				for _, cur := range bm.cursors {
-					if cur.Starved(need) {
-						starved = true
-						break
-					}
-				}
-			}
-			if starved {
+			if bm.starved() {
+				// A slower member pins the ring. Skip this round.
 				next = append(next, bm)
 				continue
 			}
-			bm.run.step(ctx)
+			bm.r.step(ctx)
 			progressed = true
-			if bm.run.stage == stageDone {
-				reps[bm.idx], errs[bm.idx] = bm.run.finish()
-				bm.close()
+			if bm.r.done() {
+				bm.leave()
+				reps[bm.idx], errs[bm.idx] = bm.r.finish()
 			} else {
 				next = append(next, bm)
 			}
 		}
 		members = next
 		if !progressed && len(members) > 0 {
+			// Cross-stream starvation (see package comment): peel one member
+			// off and re-run it serially so the rest can move.
 			bm := members[0]
 			members = members[1:]
-			bm.close()
+			bm.leave()
 			batchStallRestarts.Inc()
 			o := opt
-			o.Cache = nil
-			reps[bm.idx], errs[bm.idx] = bm.run.m.RunContext(ctx, p, o)
+			o.Cache = nil // the batch post-pass stores it like any member
+			reps[bm.idx], errs[bm.idx] = models[bm.idx].RunContext(ctx, p, o)
 		}
 	}
 }

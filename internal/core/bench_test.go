@@ -36,7 +36,7 @@ func benchRunOn(b *testing.B, cfg config.Config, p workload.Profile, opt RunOpti
 	total := int64(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := m.Run(p, opt)
+		r, err := m.RunContext(context.Background(), p, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -62,19 +62,18 @@ func BenchmarkSampledRun(b *testing.B) {
 }
 
 // benchSweep runs the stock 8-configuration neighborhood (the batch tests'
-// batchNeighborhood) against one sampled trace, either as eight serial runs
-// — each re-generating the trace — or as one lockstep batch sharing a
+// batchNeighborhood) against one SPECint95 trace, either as eight serial
+// runs — each re-generating the trace — or as one lockstep batch sharing a
 // single decoded stream. Sampled mode is where batching pays: the detailed
 // windows are a small slice of each run, so the per-member cost is
 // dominated by exactly the frontend work the batch amortizes. The
 // Serial/Batched pair in the benchdiff baseline records the speedup; the
 // gate fails if a regression erodes it back toward serial cost.
-func benchSweep(b *testing.B, batch bool) {
+func benchSweep(b *testing.B, batch bool, opt RunOptions) {
 	b.Helper()
 	b.ReportAllocs()
 	cfgs := batchNeighborhood()
 	p := workload.SPECint95()
-	opt := RunOptions{Insts: 400_000, Sample: benchSampleSchedule()}
 	total := int64(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -93,7 +92,7 @@ func benchSweep(b *testing.B, batch bool) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			r, err := m.Run(p, opt)
+			r, err := m.RunContext(context.Background(), p, opt)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -104,5 +103,15 @@ func benchSweep(b *testing.B, batch bool) {
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "sim-instrs/s")
 }
 
-func BenchmarkSerialSweep(b *testing.B)  { benchSweep(b, false) }
-func BenchmarkBatchedSweep(b *testing.B) { benchSweep(b, true) }
+func sampledSweepOpt() RunOptions {
+	return RunOptions{Insts: 400_000, Sample: benchSampleSchedule()}
+}
+
+func BenchmarkSerialSweep(b *testing.B)  { benchSweep(b, false, sampledSweepOpt()) }
+func BenchmarkBatchedSweep(b *testing.B) { benchSweep(b, true, sampledSweepOpt()) }
+
+// BenchmarkBatchedFullSweep gates the full-run side of the lockstep loop:
+// the same neighborhood batched over an unsampled trace.
+func BenchmarkBatchedFullSweep(b *testing.B) {
+	benchSweep(b, true, RunOptions{Insts: 150_000})
+}

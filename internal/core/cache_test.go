@@ -26,7 +26,7 @@ func TestCachedRunByteIdentical(t *testing.T) {
 	}
 	p := workload.SPECint95()
 
-	fresh, err := m.Run(p, testCacheOpt(nil))
+	fresh, err := m.RunContext(context.Background(), p, testCacheOpt(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,11 +35,11 @@ func TestCachedRunByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := m.Run(p, testCacheOpt(cache))
+	cold, err := m.RunContext(context.Background(), p, testCacheOpt(cache))
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := m.Run(p, testCacheOpt(cache))
+	warm, err := m.RunContext(context.Background(), p, testCacheOpt(cache))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestCachedRunByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk, err := m.Run(p, testCacheOpt(cache2))
+	disk, err := m.RunContext(context.Background(), p, testCacheOpt(cache2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,24 +84,24 @@ func TestCacheKeySensitivity(t *testing.T) {
 	m, _ := NewModel(base)
 
 	opt := testCacheOpt(cache)
-	if _, err := m.Run(p, opt); err != nil {
+	if _, err := m.RunContext(context.Background(), p, opt); err != nil {
 		t.Fatal(err)
 	}
 	// Different seed.
 	o := opt
 	o.Seed = 8
-	if _, err := m.Run(p, o); err != nil {
+	if _, err := m.RunContext(context.Background(), p, o); err != nil {
 		t.Fatal(err)
 	}
 	// Different config.
 	m2, _ := NewModel(base.WithIssueWidth(2))
-	if _, err := m2.Run(p, opt); err != nil {
+	if _, err := m2.RunContext(context.Background(), p, opt); err != nil {
 		t.Fatal(err)
 	}
 	// Different workload, same display name: profile hash must separate.
 	p2 := p
 	p2.BlockLen++
-	if _, err := m.Run(p2, opt); err != nil {
+	if _, err := m.RunContext(context.Background(), p2, opt); err != nil {
 		t.Fatal(err)
 	}
 	if s := cache.Stats(); s.Misses != 4 || s.Hits() != 0 {
@@ -159,7 +159,7 @@ func TestRunManyDedup(t *testing.T) {
 	done := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			_, err := m.RunMany(p, opt, 3)
+			_, err := m.RunManyContext(context.Background(), p, opt, 3)
 			done <- err
 		}()
 	}

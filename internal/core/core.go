@@ -7,7 +7,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sync/atomic"
 
@@ -78,8 +77,8 @@ type RunOptions struct {
 	// trace capture); 0 means Insts/5.
 	Warmup uint64
 	// Workers bounds harness-level fan-out: how many independent
-	// simulations (Breakdown's fidelity runs, RunMany's seeds, the expt
-	// studies) run concurrently. 0 means GOMAXPROCS, 1 forces a serial
+	// simulations (BreakdownContext's runs, RunManyContext's seeds, the
+	// expt studies) run concurrently. 0 means GOMAXPROCS, 1 forces a serial
 	// run. It never changes results — every job owns its model and trace
 	// state, and results are assembled in submission order.
 	Workers int
@@ -88,8 +87,8 @@ type RunOptions struct {
 	// model version) run is returned from the cache instead of being
 	// re-simulated, and concurrent identical runs share one simulation.
 	// Results are byte-identical either way (see runcache). Trace-file
-	// runs (RunSources*) are never cached — a file has no stable content
-	// key here.
+	// runs (RunSourcesContext) are never cached — a file has no stable
+	// content key here.
 	Cache *runcache.Cache
 	// Obs, when non-nil, collects a per-run profile span (wall time split
 	// into build/sim/report/cache phases, plus the run's headline counters)
@@ -132,16 +131,11 @@ func (o *RunOptions) defaults() {
 	}
 }
 
-// Run simulates the profile on this model. For multiprocessor
+// RunContext simulates the profile on this model. For multiprocessor
 // configurations one trace per CPU is generated (sharing the profile's
-// Shared region).
-func (m *Model) Run(p workload.Profile, opt RunOptions) (system.Report, error) {
-	return m.RunContext(context.Background(), p, opt)
-}
-
-// RunContext is Run with a cancellation point: the simulation polls ctx on
-// a coarse cycle stride (system.RunContext) and returns a partial report
-// wrapped around ctx.Err() when cancelled mid-run.
+// Shared region). The simulation polls ctx on a coarse cycle stride
+// (system.RunContext) and returns a partial report wrapped around
+// ctx.Err() when cancelled mid-run.
 //
 // With opt.Cache set the run is content-addressed: a prior identical run's
 // report is returned without simulating, and concurrent identical runs
@@ -228,47 +222,19 @@ func (m *Model) runProfile(ctx context.Context, p workload.Profile, opt RunOptio
 	return m.RunSourcesContext(ctx, p.Name, srcs, opt)
 }
 
-// RunSources simulates explicit trace sources (e.g. trace files).
-func (m *Model) RunSources(label string, srcs []trace.Source, opt RunOptions) (system.Report, error) {
-	return m.RunSourcesContext(context.Background(), label, srcs, opt)
-}
-
-// RunSourcesContext is RunSources with a cancellation point. On
-// cancellation it returns the partial report alongside an error wrapping
+// RunSourcesContext simulates explicit trace sources (e.g. trace files).
+// On cancellation it returns the partial report alongside an error wrapping
 // ctx.Err().
 func (m *Model) RunSourcesContext(ctx context.Context, label string, srcs []trace.Source, opt RunOptions) (system.Report, error) {
 	opt.defaults()
-	if opt.Sample.Enabled() {
-		return m.runSampled(ctx, label, srcs, opt)
-	}
-	sp := opt.Obs.StartSpan("run", label)
-	cfg := m.cfg
-	cfg.WarmupInsts = opt.Warmup
-	endBuild := sp.Phase(obs.PhaseBuild)
-	sys, err := system.New(cfg, srcs)
-	endBuild()
+	r, err := m.newRun(label, srcs, opt, 0)
 	if err != nil {
 		return system.Report{}, err
 	}
-	endSim := sp.Phase(obs.PhaseSim)
-	_, capped, cerr := sys.RunContext(ctx, opt.MaxCycles)
-	endSim()
-	endReport := sp.Phase(obs.PhaseReport)
-	r := sys.Report(label)
-	r.HitCap = capped
-	meterInstrs.Add(r.Committed)
-	meterCycles.Add(r.Cycles)
-	meterRuns.Add(1)
-	endReport()
-	spanReport(sp, r)
-	sp.Finish()
-	if cerr != nil {
-		return r, fmt.Errorf("core: %s/%s cancelled: %w", m.cfg.Name, label, cerr)
+	for !r.done() {
+		r.step(ctx)
 	}
-	if capped {
-		return r, fmt.Errorf("core: %s/%s hit the %d-cycle cap", m.cfg.Name, label, opt.MaxCycles)
-	}
-	return r, nil
+	return r.finish()
 }
 
 // spanReport copies a run's headline counters onto its span. The simulator
@@ -337,14 +303,9 @@ func AssembleBreakdown(workload string, reports []system.Report) BreakdownResult
 	return res
 }
 
-// Breakdown runs the four-model perfect-ization study on one workload.
-// The four runs are independent and execute on the scheduler.
-func (m *Model) Breakdown(p workload.Profile, opt RunOptions) (BreakdownResult, error) {
-	return m.BreakdownContext(context.Background(), p, opt)
-}
-
-// BreakdownContext is Breakdown with a cancellation point shared by all
-// four scheduled runs.
+// BreakdownContext runs the four-model perfect-ization study on one
+// workload. The four runs are independent and execute on the scheduler
+// under one cancellation point.
 func (m *Model) BreakdownContext(ctx context.Context, p workload.Profile, opt RunOptions) (BreakdownResult, error) {
 	cfgs := BreakdownConfigs(m.cfg)
 	reports, err := sched.MapCtx(ctx, len(cfgs), sched.Options{Workers: opt.Workers},
@@ -419,15 +380,10 @@ type Aggregate struct {
 	MeanIPC, StdIPC float64
 }
 
-// RunMany runs the profile over n consecutive seeds starting at opt.Seed.
-// The seeds are independent samples and execute on the scheduler; reports
-// stay in seed order regardless of completion order.
-func (m *Model) RunMany(p workload.Profile, opt RunOptions, n int) (Aggregate, error) {
-	return m.RunManyContext(context.Background(), p, opt, n)
-}
-
-// RunManyContext is RunMany with a cancellation point shared by all
-// scheduled seeds.
+// RunManyContext runs the profile over n consecutive seeds starting at
+// opt.Seed. The seeds are independent samples and execute on the scheduler
+// under one cancellation point; reports stay in seed order regardless of
+// completion order.
 func (m *Model) RunManyContext(ctx context.Context, p workload.Profile, opt RunOptions, n int) (Aggregate, error) {
 	if n < 1 {
 		n = 1

@@ -31,7 +31,7 @@ func TestNewModelValidates(t *testing.T) {
 
 func TestRunDefaults(t *testing.T) {
 	m, _ := NewModel(config.Base())
-	r, err := m.Run(workload.SPECint95(), testOpt())
+	r, err := m.RunContext(context.Background(), workload.SPECint95(), testOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestRunDefaults(t *testing.T) {
 
 func TestRunSourcesMismatch(t *testing.T) {
 	m, _ := NewModel(config.Base().WithCPUs(2))
-	_, err := m.RunSources("x", []trace.Source{workload.New(workload.SPECint95(), 1, 0)}, testOpt())
+	_, err := m.RunSourcesContext(context.Background(), "x", []trace.Source{workload.New(workload.SPECint95(), 1, 0)}, testOpt())
 	if err == nil {
 		t.Fatal("RunSources accepted wrong source count")
 	}
@@ -53,7 +53,7 @@ func TestRunSourcesMismatch(t *testing.T) {
 
 func TestBreakdownSharesSane(t *testing.T) {
 	m, _ := NewModel(config.Base())
-	br, err := m.Breakdown(workload.SPECint95(), testOpt())
+	br, err := m.BreakdownContext(context.Background(), workload.SPECint95(), testOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,15 +77,15 @@ func TestBreakdownSharesSane(t *testing.T) {
 func TestBreakdownWorkloadContrasts(t *testing.T) {
 	m, _ := NewModel(config.Base())
 	opt := RunOptions{Insts: 120_000}
-	tpcc, err := m.Breakdown(workload.TPCC(), opt)
+	tpcc, err := m.BreakdownContext(context.Background(), workload.TPCC(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp, err := m.Breakdown(workload.SPECfp95(), opt)
+	fp, err := m.BreakdownContext(context.Background(), workload.SPECfp95(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ints, err := m.Breakdown(workload.SPECint95(), opt)
+	ints, err := m.BreakdownContext(context.Background(), workload.SPECint95(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestVersionEstimatesTrend(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := m.Run(workload.SPECint2000(), opt)
+		r, err := m.RunContext(context.Background(), workload.SPECint2000(), opt)
 		if err != nil {
 			t.Fatalf("%s: %v", v.Name, err)
 		}
@@ -167,7 +167,7 @@ func TestVersionEstimatesTrend(t *testing.T) {
 
 func TestRunMany(t *testing.T) {
 	m, _ := NewModel(config.Base())
-	agg, err := m.RunMany(workload.SPECint95(), RunOptions{Insts: 30_000, Seed: 5}, 3)
+	agg, err := m.RunManyContext(context.Background(), workload.SPECint95(), RunOptions{Insts: 30_000, Seed: 5}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestRunMany(t *testing.T) {
 		t.Errorf("IPC spread %.4f implausible for mean %.3f", agg.StdIPC, agg.MeanIPC)
 	}
 	// n < 1 clamps.
-	one, err := m.RunMany(workload.SPECint95(), RunOptions{Insts: 20_000}, 0)
+	one, err := m.RunManyContext(context.Background(), workload.SPECint95(), RunOptions{Insts: 20_000}, 0)
 	if err != nil || len(one.Reports) != 1 || one.StdIPC != 0 {
 		t.Fatalf("clamped RunMany: %v %d", err, len(one.Reports))
 	}
@@ -223,15 +223,17 @@ func TestRunManyContextCancelled(t *testing.T) {
 	}
 }
 
-// TestBreakdownContextMatchesBreakdown guards determinism of the ctx
-// variant when the context never fires.
+// TestBreakdownContextMatchesBreakdown guards determinism under a live
+// context that never fires: polling it must not change the study.
 func TestBreakdownContextMatchesBreakdown(t *testing.T) {
 	m, _ := NewModel(config.Base())
-	a, err := m.Breakdown(workload.SPECint95(), testOpt())
+	a, err := m.BreakdownContext(context.Background(), workload.SPECint95(), testOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.BreakdownContext(context.Background(), workload.SPECint95(), testOpt())
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	b, err := m.BreakdownContext(ctx, workload.SPECint95(), testOpt())
 	if err != nil {
 		t.Fatal(err)
 	}

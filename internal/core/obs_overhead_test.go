@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 	"time"
@@ -21,13 +22,13 @@ func TestInstrumentationIsInvisible(t *testing.T) {
 	p := workload.SPECint95()
 	opt := RunOptions{Insts: 30_000}
 
-	plain, err := m.Run(p, opt)
+	plain, err := m.RunContext(context.Background(), p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	col := obs.NewCollector()
 	opt.Obs = col
-	profiled, err := m.Run(p, opt)
+	profiled, err := m.RunContext(context.Background(), p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestInstrumentationOverheadBound(t *testing.T) {
 	timeRun := func(col *obs.Collector) time.Duration {
 		opt := RunOptions{Insts: insts, Obs: col}
 		t0 := time.Now()
-		if _, err := m.Run(p, opt); err != nil {
+		if _, err := m.RunContext(context.Background(), p, opt); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(t0)

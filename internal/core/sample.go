@@ -18,19 +18,17 @@ package core
 // is the ratio estimator Σcycles/Σcommitted over all windows; the
 // per-window CPI spread yields the reported confidence bound.
 //
-// The engine is a stepwise state machine (sampledRun): each step performs
-// one bounded action — a fast-forward chunk on one CPU, or one detailed
-// window. runSampled drives one machine's steps back to back; the lockstep
-// batch driver (batch.go) interleaves steps of N machines against a shared
-// trace ring. Both drivers execute the identical action sequence per
-// machine, so sampled Reports are byte-identical serial vs batched and at
-// any harness worker count, exactly like full runs.
+// The engine is a stepwise state machine (sampledRun, one kind of run in
+// run.go): each step performs one bounded action — a fast-forward chunk on
+// one CPU, or one detailed window. The serial loop takes a machine's steps
+// back to back; the lockstep batch loop (batch.go) interleaves steps of N
+// machines against a shared trace ring. Both loops execute the identical
+// action sequence per machine, so sampled Reports are byte-identical serial
+// vs batched and at any harness worker count, exactly like full runs.
 
 import (
-	"fmt"
-	"math"
-
 	"context"
+	"math"
 
 	"sparc64v/internal/bpred"
 	"sparc64v/internal/cache"
@@ -292,7 +290,7 @@ func (r *sampledRun) allDry() bool {
 
 // norm advances the state machine past zero-work transitions, so that
 // afterwards either stage == stageDone or the next step() performs real
-// work whose trace demand needRecords() describes. A cap does not stop a
+// work whose trace demand need() describes. A cap does not stop a
 // pending fast-forward region (only windows respect it), matching the
 // classic driver's control flow; a cancellation stops everything.
 func (r *sampledRun) norm() {
@@ -328,12 +326,10 @@ func (r *sampledRun) norm() {
 	}
 }
 
-// needRecords returns which CPU's source the next step reads and the most
+// need returns which CPU's source the next step reads and the most
 // records it consumes: (cpu, n) for a fast-forward chunk on one CPU, or
 // (-1, n) for a detailed window drawing up to n records from every CPU.
-// The batch driver checks the shared ring can serve that demand before
-// stepping; a serial run never asks.
-func (r *sampledRun) needRecords() (int, int) {
+func (r *sampledRun) need() (int, int) {
 	switch r.stage {
 	case stageFF:
 		n := r.ffLeft
@@ -349,8 +345,11 @@ func (r *sampledRun) needRecords() (int, int) {
 	return -1, 0
 }
 
+func (r *sampledRun) done() bool      { return r.stage == stageDone }
+func (r *sampledRun) span() *obs.Span { return r.sp }
+
 // step performs the run's next bounded action: one fast-forward chunk on
-// one CPU, or one detailed window. Callers loop until stage == stageDone.
+// one CPU, or one detailed window.
 func (r *sampledRun) step(ctx context.Context) {
 	switch r.stage {
 	case stageFF:
@@ -378,7 +377,7 @@ func (r *sampledRun) step(ctx context.Context) {
 	r.norm()
 }
 
-// cancel aborts the run with err (the batch driver's external cancellation
+// cancel aborts the run with err (the batch loop's external cancellation
 // path; a serial run surfaces cancellation through step's ctx instead).
 func (r *sampledRun) cancel(err error) {
 	if r.simErr == nil {
@@ -451,7 +450,7 @@ func (r *sampledRun) runWindow(ctx context.Context, n int) {
 // counter blocks, and Sampling carries the schedule, mode split and error
 // model. Call exactly once, after stage reaches stageDone.
 func (r *sampledRun) finish() (system.Report, error) {
-	sc, opt := r.sc, r.opt
+	sc := r.sc
 	ncpu := r.ncpu
 
 	// Degenerate schedules (trace shorter than one warm-up window, window
@@ -522,22 +521,13 @@ func (r *sampledRun) finish() (system.Report, error) {
 	}
 	rep.Sampling = info
 
-	meterInstrs.Add(detInsts)
-	meterCycles.Add(r.sys.Cycle())
-	meterRuns.Add(1)
+	meterAdd(detInsts, r.sys.Cycle())
 	endReport()
 	spanReport(r.sp, rep)
 	r.sp.Add("ff_insts", int64(ffInsts))
 	r.sp.Add("sample_windows", int64(len(r.windows)))
 	r.sp.Finish()
-
-	if r.simErr != nil {
-		return rep, fmt.Errorf("core: %s/%s cancelled: %w", r.m.cfg.Name, r.label, r.simErr)
-	}
-	if r.capped {
-		return rep, fmt.Errorf("core: %s/%s hit the %d-cycle cap", r.m.cfg.Name, r.label, opt.MaxCycles)
-	}
-	return rep, nil
+	return rep, r.m.runErr(r.label, r.opt, r.simErr, r.capped)
 }
 
 // sanitizeSampling clamps the error-model fields to finite values.
@@ -556,19 +546,4 @@ func sanitizeSampling(info *system.SamplingInfo) {
 	if info.Windows <= 1 || math.IsNaN(info.CPIHalf95) || math.IsInf(info.CPIHalf95, 0) {
 		info.CPIHalf95 = 0
 	}
-}
-
-// runSampled is the sampled-simulation driver behind RunSourcesContext
-// (opt.Sample enabled). It returns a Report whose counter blocks cover the
-// measurement windows and whose Sampling field carries the schedule, mode
-// split and error model.
-func (m *Model) runSampled(ctx context.Context, label string, srcs []trace.Source, opt RunOptions) (system.Report, error) {
-	r, err := newSampledRun(m, label, srcs, opt)
-	if err != nil {
-		return system.Report{}, err
-	}
-	for r.stage != stageDone {
-		r.step(ctx)
-	}
-	return r.finish()
 }

@@ -48,12 +48,12 @@ func conserveSampled(t *testing.T, r system.Report) {
 func TestSampledCPIMatchesFull(t *testing.T) {
 	m, _ := NewModel(config.Base())
 	opt := RunOptions{Insts: 400_000}
-	full, err := m.Run(workload.SPECint95(), opt)
+	full, err := m.RunContext(context.Background(), workload.SPECint95(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Sample = sampleSchedule()
-	sampled, err := m.Run(workload.SPECint95(), opt)
+	sampled, err := m.RunContext(context.Background(), workload.SPECint95(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestSampledReportDeterministic(t *testing.T) {
 	opt.Sample.IntervalInsts = 20_000
 	var got [2][]byte
 	for i := range got {
-		r, err := m.Run(workload.TPCC(), opt)
+		r, err := m.RunContext(context.Background(), workload.TPCC(), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func TestSampledShortTrace(t *testing.T) {
 		Insts:  1_000,
 		Sample: config.Sampling{IntervalInsts: 50_000, WarmupInsts: 5_000, MeasureInsts: 4_000},
 	}
-	r, err := m.Run(workload.SPECint95(), opt)
+	r, err := m.RunContext(context.Background(), workload.SPECint95(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestSampledMeasureLongerThanTrace(t *testing.T) {
 		Insts:  10_000,
 		Sample: config.Sampling{IntervalInsts: 100_000, WarmupInsts: 0, MeasureInsts: 50_000},
 	}
-	r, err := m.Run(workload.SPECint95(), opt)
+	r, err := m.RunContext(context.Background(), workload.SPECint95(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,12 +166,12 @@ func TestSampledMeasureLongerThanTrace(t *testing.T) {
 func TestSampledZeroFastForward(t *testing.T) {
 	m, _ := NewModel(config.Base())
 	opt := RunOptions{Insts: 60_000}
-	full, err := m.Run(workload.SPECint95(), opt)
+	full, err := m.RunContext(context.Background(), workload.SPECint95(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Sample = config.Sampling{IntervalInsts: 10_000, WarmupInsts: 5_000, MeasureInsts: 5_000}
-	r, err := m.Run(workload.SPECint95(), opt)
+	r, err := m.RunContext(context.Background(), workload.SPECint95(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestSampledMP(t *testing.T) {
 		Insts:  40_000,
 		Sample: config.Sampling{IntervalInsts: 10_000, WarmupInsts: 1_000, MeasureInsts: 2_000},
 	}
-	r, err := m.Run(workload.TPCC16P(), opt)
+	r, err := m.RunContext(context.Background(), workload.TPCC16P(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,11 +269,11 @@ func TestSampledCacheKeySeparation(t *testing.T) {
 		t.Fatal(err)
 	}
 	full.Cache, samp.Cache = cache, cache
-	rFull, err := m.Run(workload.SPECint95(), full)
+	rFull, err := m.RunContext(context.Background(), workload.SPECint95(), full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rSamp, err := m.Run(workload.SPECint95(), samp)
+	rSamp, err := m.RunContext(context.Background(), workload.SPECint95(), samp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,11 +285,11 @@ func TestSampledCacheKeySeparation(t *testing.T) {
 		t.Errorf("cache misses = %d, want 2 (no cross-serving)", st.Misses)
 	}
 	// Re-requests now hit, each from its own entry.
-	rFull2, err := m.Run(workload.SPECint95(), full)
+	rFull2, err := m.RunContext(context.Background(), workload.SPECint95(), full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rSamp2, err := m.Run(workload.SPECint95(), samp)
+	rSamp2, err := m.RunContext(context.Background(), workload.SPECint95(), samp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestSampledSingleWindowMarshals(t *testing.T) {
 		Insts:  30_000,
 		Sample: config.Sampling{IntervalInsts: 50_000, WarmupInsts: 2_000, MeasureInsts: 4_000},
 	}
-	r, err := m.Run(p, opt)
+	r, err := m.RunContext(context.Background(), p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

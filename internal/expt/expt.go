@@ -236,15 +236,10 @@ func Table1() Result {
 	return Result{ID: "Table 1", Title: "Microarchitecture", Table: t}
 }
 
-// Fig07 reproduces the benchmark characterization: execution-time
+// Fig07Ctx reproduces the benchmark characterization: execution-time
 // breakdown into core / branch / ibs+tlb / sx via perfect-ization.
 // The study is 5 workloads x 4 perfect-ization rungs = 20 independent
 // simulations, flattened onto one scheduler batch.
-func Fig07(opt core.RunOptions) (Result, error) {
-	return Fig07Ctx(context.Background(), opt)
-}
-
-// Fig07Ctx is Fig07 with a cancellation point.
 func Fig07Ctx(ctx context.Context, opt core.RunOptions) (Result, error) {
 	t := stats.NewTable("Execution time breakdown (fraction of cycles)",
 		"workload", "core", "branch", "ibs/tlb", "sx")
@@ -277,12 +272,7 @@ func Fig07Ctx(ctx context.Context, opt core.RunOptions) (Result, error) {
 	}, nil
 }
 
-// Fig08 reproduces the issue-width study: 4-way vs 2-way IPC.
-func Fig08(opt core.RunOptions) (Result, error) {
-	return Fig08Ctx(context.Background(), opt)
-}
-
-// Fig08Ctx is Fig08 with a cancellation point.
+// Fig08Ctx reproduces the issue-width study: 4-way vs 2-way IPC.
 func Fig08Ctx(ctx context.Context, opt core.RunOptions) (Result, error) {
 	t := stats.NewTable("Issue width: 4-way vs 2-way",
 		"workload", "IPC 4w", "IPC 2w", "2w vs 4w %")
@@ -311,13 +301,8 @@ func Fig08Ctx(ctx context.Context, opt core.RunOptions) (Result, error) {
 	}, nil
 }
 
-// Fig09and10 reproduces the BHT geometry study: IPC and prediction
+// Fig09and10Ctx reproduces the BHT geometry study: IPC and prediction
 // failure rates for 16k-4w.2t vs 4k-2w.1t.
-func Fig09and10(opt core.RunOptions) (Result, Result, error) {
-	return Fig09and10Ctx(context.Background(), opt)
-}
-
-// Fig09and10Ctx is Fig09and10 with a cancellation point.
 func Fig09and10Ctx(ctx context.Context, opt core.RunOptions) (Result, Result, error) {
 	ipc := stats.NewTable("BHT geometry: IPC",
 		"workload", "IPC 16k-4w.2t", "IPC 4k-2w.1t", "4k vs 16k %")
@@ -344,13 +329,8 @@ func Fig09and10Ctx(ctx context.Context, opt core.RunOptions) (Result, Result, er
 	return r9, r10, nil
 }
 
-// Fig11to13 reproduces the L1 geometry study: IPC and I/D miss ratios for
+// Fig11to13Ctx reproduces the L1 geometry study: IPC and I/D miss ratios for
 // 128k-2w.4c vs 32k-1w.3c.
-func Fig11to13(opt core.RunOptions) (Result, Result, Result, error) {
-	return Fig11to13Ctx(context.Background(), opt)
-}
-
-// Fig11to13Ctx is Fig11to13 with a cancellation point.
 func Fig11to13Ctx(ctx context.Context, opt core.RunOptions) (Result, Result, Result, error) {
 	ipc := stats.NewTable("L1 geometry: IPC",
 		"workload", "IPC 128k-2w.4c", "IPC 32k-1w.3c", "32k vs 128k %")
@@ -382,13 +362,8 @@ func Fig11to13Ctx(ctx context.Context, opt core.RunOptions) (Result, Result, Res
 	return r11, r12, r13, nil
 }
 
-// Fig14and15 reproduces the L2 study: on-chip 2MB 4-way vs off-chip 8MB
+// Fig14and15Ctx reproduces the L2 study: on-chip 2MB 4-way vs off-chip 8MB
 // 2-way and direct-mapped, including the TPC-C 16-processor SMP model.
-func Fig14and15(opt core.RunOptions) (Result, Result, error) {
-	return Fig14and15Ctx(context.Background(), opt)
-}
-
-// Fig14and15Ctx is Fig14and15 with a cancellation point.
 func Fig14and15Ctx(ctx context.Context, opt core.RunOptions) (Result, Result, error) {
 	ipc := stats.NewTable("L2 geometry: IPC relative to on.2m-4w (%)",
 		"workload", "off.8m-2w %", "off.8m-1w %")
@@ -432,12 +407,7 @@ func Fig14and15Ctx(ctx context.Context, opt core.RunOptions) (Result, Result, er
 	return r14, r15, nil
 }
 
-// Fig16and17 reproduces the hardware prefetch study.
-func Fig16and17(opt core.RunOptions) (Result, Result, error) {
-	return Fig16and17Ctx(context.Background(), opt)
-}
-
-// Fig16and17Ctx is Fig16and17 with a cancellation point.
+// Fig16and17Ctx reproduces the hardware prefetch study.
 func Fig16and17Ctx(ctx context.Context, opt core.RunOptions) (Result, Result, error) {
 	ipc := stats.NewTable("Hardware prefetch: IPC impact",
 		"workload", "IPC with", "IPC without", "gain %")
@@ -465,13 +435,8 @@ func Fig16and17Ctx(ctx context.Context, opt core.RunOptions) (Result, Result, er
 	return r16, r17, nil
 }
 
-// Fig18 reproduces the reservation-station topology study: fused 1RS
+// Fig18Ctx reproduces the reservation-station topology study: fused 1RS
 // (up to two dispatches) vs the adopted 2RS.
-func Fig18(opt core.RunOptions) (Result, error) {
-	return Fig18Ctx(context.Background(), opt)
-}
-
-// Fig18Ctx is Fig18 with a cancellation point.
 func Fig18Ctx(ctx context.Context, opt core.RunOptions) (Result, error) {
 	t := stats.NewTable("Reservation stations: 2RS relative to 1RS",
 		"workload", "IPC 1RS", "IPC 2RS", "2RS vs 1RS %")
@@ -491,15 +456,10 @@ func Fig18Ctx(ctx context.Context, opt core.RunOptions) (Result, error) {
 			"capacity pooling matters more under this model's FP chains)"}}, nil
 }
 
-// Fig19 reproduces the model-accuracy study: version estimates relative
+// Fig19Ctx reproduces the model-accuracy study: version estimates relative
 // to the final model, and errors against the physical-machine proxy.
 // The two workloads' fidelity ladders run concurrently; each ladder's nine
-// simulations are themselves scheduled (verif.RunAccuracyStudy).
-func Fig19(opt core.RunOptions) (Result, error) {
-	return Fig19Ctx(context.Background(), opt)
-}
-
-// Fig19Ctx is Fig19 with a cancellation point.
+// simulations are themselves scheduled (verif.RunAccuracyStudyContext).
 func Fig19Ctx(ctx context.Context, opt core.RunOptions) (Result, error) {
 	t := stats.NewTable("Performance model accuracy (SPEC CPU2000 workloads)",
 		"version", "detail", "int2000 perf/v8", "int2000 err vs machine %", "fp2000 perf/v8", "fp2000 err vs machine %")
@@ -618,19 +578,14 @@ func incompleteResult(name string, err error) Result {
 		Notes: []string{"study did not complete; see status above"}}
 }
 
-// All runs every experiment in presentation order: the studies execute
-// concurrently on the scheduler (each study also schedules its own runs),
-// and results come back in the fixed presentation order with per-study
-// wall time stamped into Result.Elapsed.
-func All(opt core.RunOptions) ([]Result, error) {
-	return AllContext(context.Background(), opt)
-}
-
-// AllContext is All with a cancellation point. On cancellation (or a study
-// failure) it still returns every completed study's results in
-// presentation order, with an incompleteResult marker in each missing
-// study's slot, alongside the lowest-index study error — so a sweep
-// interrupted by a deadline or SIGINT renders everything it finished.
+// AllContext runs every experiment in presentation order: the studies
+// execute concurrently on the scheduler (each study also schedules its own
+// runs), and results come back in the fixed presentation order with
+// per-study wall time stamped into Result.Elapsed. On cancellation (or a
+// study failure) it still returns every completed study's results, with an
+// incompleteResult marker in each missing study's slot, alongside the
+// lowest-index study error — so a sweep interrupted by a deadline or
+// SIGINT renders everything it finished.
 func AllContext(ctx context.Context, opt core.RunOptions) ([]Result, error) {
 	all := Studies()
 	groups, errs := sched.MapAllCtx(ctx, len(all), sched.Options{Workers: opt.Workers},
@@ -658,14 +613,9 @@ func AllContext(ctx context.Context, opt core.RunOptions) ([]Result, error) {
 	return out, firstErr
 }
 
-// HPCStudy is an extension experiment (not a paper figure): it quantifies
+// HPCStudyCtx is an extension experiment (not a paper figure): it quantifies
 // the dual floating-point multiply-add units the paper highlights as the
 // machine's HPC feature, on a dense FMA kernel.
-func HPCStudy(opt core.RunOptions) (Result, error) {
-	return HPCStudyCtx(context.Background(), opt)
-}
-
-// HPCStudyCtx is HPCStudy with a cancellation point.
 func HPCStudyCtx(ctx context.Context, opt core.RunOptions) (Result, error) {
 	t := stats.NewTable("Dual multiply-add units on a dense FP kernel",
 		"configuration", "IPC", "vs base %")
@@ -701,17 +651,6 @@ func HPCStudyCtx(ctx context.Context, opt core.RunOptions) (Result, error) {
 			"units is effective for HPC performance\" — quantified here"}}, nil
 }
 
-// SampledStudy validates sampled simulation (internal/core/sample.go)
-// against the full model: every uniprocessor workload runs both ways and
-// the table reports the CPI agreement, the per-run window count, and the
-// fraction of instructions that ran on the detailed model. The rendered
-// numbers are all deterministic — wall-clock speedups are measured by the
-// benchmark suite (BenchmarkSampledRun), not here, so EXPERIMENTS.md stays
-// byte-identical across hosts.
-func SampledStudy(opt core.RunOptions) (Result, error) {
-	return SampledStudyCtx(context.Background(), opt)
-}
-
 // sampledStudySchedule is the validation schedule for a trace of n
 // instructions: ~40 intervals with a 2k detailed warm-up and a measurement
 // window of interval/5, clamped for short traces. The window count and the
@@ -730,7 +669,13 @@ func sampledStudySchedule(n int) config.Sampling {
 	return s
 }
 
-// SampledStudyCtx is SampledStudy with a cancellation point.
+// SampledStudyCtx validates sampled simulation (internal/core/sample.go)
+// against the full model: every uniprocessor workload runs both ways and
+// the table reports the CPI agreement, the per-run window count, and the
+// fraction of instructions that ran on the detailed model. The rendered
+// numbers are all deterministic — wall-clock speedups are measured by the
+// benchmark suite (BenchmarkSampledRun), not here, so EXPERIMENTS.md stays
+// byte-identical across hosts.
 func SampledStudyCtx(ctx context.Context, opt core.RunOptions) (Result, error) {
 	opt.Sample = config.Sampling{} // the comparison baseline is always a full run
 	sc := sampledStudySchedule(opt.Insts)
@@ -765,19 +710,9 @@ func SampledStudyCtx(ctx context.Context, opt core.RunOptions) (Result, error) {
 			"wall-clock speedup is measured by BenchmarkSampledRun (see DESIGN.md)"}}, nil
 }
 
-// ModelSpeed measures the simulator's own throughput — the modern
-// counterpart of the paper's "7.8K instructions per second on a 1-GHz
-// Pentium III" quote for their C model. Per-workload rows are measured
-// serially (single-thread model speed); the final row runs every
-// uniprocessor workload concurrently through the scheduler and reports
-// effective aggregate throughput, the number that governs sweep turnaround
-// on a multicore host.
-func ModelSpeed(opt core.RunOptions) Result {
-	return ModelSpeedCtx(context.Background(), opt)
-}
-
-// ModelSpeedCtx is ModelSpeed with a cancellation point; cancelled rows
-// are simply omitted.
+// ModelSpeedCtx is the counterpart of the paper's "7.8K instructions per
+// second on a 1-GHz Pentium III" quote for their C model. Rows cancelled
+// by ctx are simply omitted.
 //
 // The paper quotes an absolute simulation rate (7.8K instr/s on a 1-GHz
 // Pentium III). A wall-clock rate is a property of the measuring host, so

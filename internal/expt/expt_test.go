@@ -29,7 +29,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestFig07(t *testing.T) {
-	r, err := Fig07(testOpt())
+	r, err := Fig07Ctx(context.Background(), testOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestFig07(t *testing.T) {
 }
 
 func TestFig08(t *testing.T) {
-	r, err := Fig08(testOpt())
+	r, err := Fig08Ctx(context.Background(), testOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestFig08(t *testing.T) {
 }
 
 func TestFig09and10(t *testing.T) {
-	r9, r10, err := Fig09and10(testOpt())
+	r9, r10, err := Fig09and10Ctx(context.Background(), testOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestFig09and10(t *testing.T) {
 }
 
 func TestFig11to13(t *testing.T) {
-	r11, r12, r13, err := Fig11to13(testOpt())
+	r11, r12, r13, err := Fig11to13Ctx(context.Background(), testOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestFig11to13(t *testing.T) {
 }
 
 func TestFig14and15(t *testing.T) {
-	r14, r15, err := Fig14and15(testOpt())
+	r14, r15, err := Fig14and15Ctx(context.Background(), testOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestFig14and15(t *testing.T) {
 }
 
 func TestFig16and17(t *testing.T) {
-	r16, r17, err := Fig16and17(testOpt())
+	r16, r17, err := Fig16and17Ctx(context.Background(), testOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestFig16and17(t *testing.T) {
 }
 
 func TestFig18(t *testing.T) {
-	r, err := Fig18(testOpt())
+	r, err := Fig18Ctx(context.Background(), testOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestFig18(t *testing.T) {
 }
 
 func TestFig19(t *testing.T) {
-	r, err := Fig19(testOpt())
+	r, err := Fig19Ctx(context.Background(), testOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestMPOptScaling(t *testing.T) {
 }
 
 func TestHPCStudy(t *testing.T) {
-	r, err := HPCStudy(testOpt())
+	r, err := HPCStudyCtx(context.Background(), testOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,14 +146,14 @@ func TestHPCStudy(t *testing.T) {
 }
 
 func TestModelSpeed(t *testing.T) {
-	r := ModelSpeed(testOpt())
+	r := ModelSpeedCtx(context.Background(), testOpt())
 	// One calibration row per UP workload.
 	if r.Table.Rows() != 5 {
 		t.Fatalf("rows: %d", r.Table.Rows())
 	}
 	// The rendered table must be deterministic (no wall-clock columns):
 	// rendering twice gives the same bytes.
-	if a, b := r.Table.String(), ModelSpeed(testOpt()).Table.String(); a != b {
+	if a, b := r.Table.String(), ModelSpeedCtx(context.Background(), testOpt()).Table.String(); a != b {
 		t.Error("ModelSpeed table is not deterministic across runs")
 	}
 }
@@ -218,9 +218,9 @@ func TestAllContextMidCancel(t *testing.T) {
 	t.Logf("%d/%d result slots incomplete after the deadline", incomplete, len(results))
 }
 
-// TestAllContextUncancelledMatchesAll: with a live context the ctx variant
-// is the same sweep — All itself delegates to it, and determinism across
-// worker counts is locked by TestAllDeterministicAcrossWorkers.
+// TestAllContextUncancelledMatchesAll: with a context that never fires the
+// sweep completes every study; determinism across worker counts is locked
+// by TestAllDeterministicAcrossWorkers.
 func TestAllContextUncancelledMatchesAll(t *testing.T) {
 	results, err := AllContext(context.Background(), testOpt())
 	if err != nil {

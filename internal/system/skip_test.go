@@ -98,7 +98,7 @@ func TestSleepingCPUsSkipCycles(t *testing.T) {
 
 	s := newSkipTestSystem(t, 4, workload.TPCC(), insts, 0)
 	before := skippedCycles.Value()
-	cycles, capped := s.Run(0)
+	cycles, capped, _ := s.RunContext(context.Background(), 0)
 	skipped := skippedCycles.Value() - before
 	if capped || cycles != wantCycles {
 		t.Fatalf("Run = (%d, capped %v), per-cycle loop ran %d cycles", cycles, capped, wantCycles)

@@ -10,25 +10,6 @@ import "context"
 // calls evolves byte-identically to one driven by a single RunContext call
 // (pinned by TestStepMatchesRunContext).
 
-// Instance is the narrow view of a machine the lockstep batch driver
-// drives. All per-configuration mutable state — pipeline slabs, cache
-// arrays, predictor tables, coherence state — lives behind this interface
-// in the System (and its CPUs), so the driver holds N opaque instances plus
-// the shared trace ring and nothing else.
-type Instance interface {
-	// Step advances up to n cycles; see System.Step.
-	Step(n int, maxCycles uint64) (done, capped bool)
-	// Done reports whether every CPU has drained.
-	Done() bool
-	// Cycle returns the current global cycle.
-	Cycle() uint64
-	// SourceReadBound returns the most trace records CPU i can consume in
-	// one cycle.
-	SourceReadBound(i int) int
-}
-
-var _ Instance = (*System)(nil)
-
 // Step advances the machine by at most n cycles, stopping early when every
 // CPU drains or the cycle cap is reached. It returns done (machine drained)
 // and capped (cycle cap hit); both false means the machine simply used its
@@ -49,5 +30,6 @@ func (s *System) Step(n int, maxCycles uint64) (done, capped bool) {
 	return s.Done(), false
 }
 
-// SourceReadBound implements Instance for CPU i.
+// SourceReadBound returns the most trace records CPU i can consume in one
+// cycle.
 func (s *System) SourceReadBound(i int) int { return s.cpus[i].SourceReadBound() }

@@ -71,22 +71,16 @@ func (s *System) Done() bool {
 	return true
 }
 
-// Run advances the machine until every CPU drains or maxCycles elapse.
-// It returns the cycles simulated and whether the run hit the cycle cap.
-func (s *System) Run(maxCycles uint64) (uint64, bool) {
-	cycles, capped, _ := s.RunContext(context.Background(), maxCycles)
-	return cycles, capped
-}
-
 // ctxPollStride is how often (in global cycles) RunContext polls its
 // context. 4K cycles is coarse enough that the check never shows up in the
 // hot-loop profile, yet a mid-run cancellation still lands within
 // microseconds of wall time.
 const ctxPollStride = 4096
 
-// RunContext is Run with a cancellation point: the loop polls ctx at every
-// ctxPollStride-cycle boundary and stops there with ctx.Err() once the
-// context is done. The machine state stays consistent on early return —
+// RunContext advances the machine until every CPU drains or maxCycles
+// elapse. It returns the cycles simulated, whether the run hit the cycle
+// cap, and ctx.Err() if the context was done first: the loop polls ctx at
+// every ctxPollStride-cycle boundary and stops there. The machine state stays consistent on early return —
 // Report still snapshots whatever was simulated up to the cancellation
 // cycle.
 func (s *System) RunContext(ctx context.Context, maxCycles uint64) (uint64, bool, error) {

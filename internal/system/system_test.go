@@ -29,7 +29,7 @@ func runUP(t *testing.T, cfg config.Config, p workload.Profile, insts int) Repor
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, capped := sys.Run(50_000_000); capped {
+	if _, capped, _ := sys.RunContext(context.Background(), 50_000_000); capped {
 		t.Fatalf("run hit the cycle cap: %v", sys.CPU(0))
 	}
 	return sys.Report(p.Name)
@@ -104,7 +104,7 @@ func TestSMPRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, capped := sys.Run(50_000_000); capped {
+	if _, capped, _ := sys.RunContext(context.Background(), 50_000_000); capped {
 		t.Fatal("SMP run hit the cycle cap")
 	}
 	r := sys.Report("TPC-C(4P)")
@@ -129,7 +129,7 @@ func TestSMPCoherenceInvariantSpotCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Run(20_000_000)
+	sys.RunContext(context.Background(), 20_000_000)
 	// Spot-check shared-region lines for MOESI invariant violations.
 	base := uint64(0x4000_0000_0000)
 	for off := uint64(0); off < 1<<20; off += 4096 {
@@ -249,9 +249,9 @@ func TestRunContextCancellation(t *testing.T) {
 	// with cerr == nil is also correct.)
 }
 
-// TestRunContextUncancelledMatchesRun guards determinism: the context-
-// aware loop must simulate exactly the same machine as Run when the
-// context never fires.
+// TestRunContextUncancelledMatchesRun guards determinism: a live context
+// that never fires (the loop stops at every poll stride to check it) must
+// simulate exactly the same machine as a context that cannot fire.
 func TestRunContextUncancelledMatchesRun(t *testing.T) {
 	cfg := config.Base()
 	a, err := New(cfg, sources(workload.TPCC(), 1, 20_000))
@@ -262,8 +262,10 @@ func TestRunContextUncancelledMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ca, cappedA := a.Run(0)
-	cb, cappedB, cerr := b.RunContext(context.Background(), 0)
+	ca, cappedA, _ := a.RunContext(context.Background(), 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cb, cappedB, cerr := b.RunContext(ctx, 0)
 	if cerr != nil {
 		t.Fatal(cerr)
 	}

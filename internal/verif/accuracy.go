@@ -92,15 +92,10 @@ func PhysicalMachineProxy(cfg config.Config) config.Config {
 	return m
 }
 
-// RunAccuracyStudy runs every model version and the machine proxy on the
-// workload and assembles the Figure 19 series. The machine proxy and the
-// eight versions are independent simulations and execute on the scheduler.
-func RunAccuracyStudy(base config.Config, p workload.Profile, opt core.RunOptions) (AccuracyStudy, error) {
-	return RunAccuracyStudyContext(context.Background(), base, p, opt)
-}
-
-// RunAccuracyStudyContext is RunAccuracyStudy with a cancellation point
-// shared by the ladder's scheduled simulations. With opt.Batch > 1 the
+// RunAccuracyStudyContext runs every model version and the machine proxy
+// on the workload and assembles the Figure 19 series. The machine proxy
+// and the eight versions are independent simulations and execute on the
+// scheduler under one cancellation point. With opt.Batch > 1 the
 // ladder's rungs — nine configurations of the same trace — run as lockstep
 // batches of up to opt.Batch members sharing one decoded stream; reports
 // (and therefore the study's numbers) are byte-identical either way.
@@ -216,14 +211,8 @@ func (t *TrendCheck) Agree() bool {
 	return (a > 0) == (b > 0)
 }
 
-// RunTrendCheck evaluates base vs variant on both models.
-func RunTrendCheck(change string, base, variant config.Config, p workload.Profile,
-	opt core.RunOptions) (TrendCheck, error) {
-	return RunTrendCheckContext(context.Background(), change, base, variant, p, opt)
-}
-
-// RunTrendCheckContext is RunTrendCheck with a cancellation point shared
-// by the four scheduled simulations.
+// RunTrendCheckContext evaluates base vs variant on both models; the four
+// simulations are scheduled under one cancellation point.
 func RunTrendCheckContext(ctx context.Context, change string, base, variant config.Config,
 	p workload.Profile, opt core.RunOptions) (TrendCheck, error) {
 	tc := TrendCheck{Change: change}

@@ -38,17 +38,12 @@ func NewReference(cfg config.Config) *Reference {
 	}
 }
 
-// Run consumes the source and accumulates timing.
-func (rf *Reference) Run(src trace.Source) {
-	_ = rf.RunContext(context.Background(), src)
-}
-
 // ctxPollStride matches the detailed model's cancellation granularity: the
 // reference loop polls its context every 4K instructions.
 const ctxPollStride = 4096
 
-// RunContext is Run with a cancellation point, polled on a coarse
-// instruction stride. It returns ctx.Err() when cancelled mid-run; the
+// RunContext consumes the source and accumulates timing, polling ctx on a
+// coarse instruction stride. It returns ctx.Err() when cancelled mid-run; the
 // accumulated Cycles/Instructions stay consistent with what was consumed.
 func (rf *Reference) RunContext(ctx context.Context, src trace.Source) error {
 	var r trace.Record

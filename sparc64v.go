@@ -8,8 +8,9 @@
 // The package is a thin facade over the internal packages; everything a
 // downstream user needs is re-exported here:
 //
+//	ctx := context.Background()
 //	model, _ := sparc64v.NewModel(sparc64v.BaseConfig())
-//	report, _ := model.Run(sparc64v.TPCC(), sparc64v.RunOptions{Insts: 500_000})
+//	report, _ := model.RunContext(ctx, sparc64v.TPCC(), sparc64v.RunOptions{Insts: 500_000})
 //	fmt.Println(report.IPC(), report.L2DemandMissRate())
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
@@ -94,33 +95,29 @@ var (
 	// Table1 reports the base machine parameters.
 	Table1 = expt.Table1
 	// Fig07 runs the benchmark-characterization breakdown.
-	Fig07 = expt.Fig07
+	Fig07 = expt.Fig07Ctx
 	// Fig08 runs the issue-width study.
-	Fig08 = expt.Fig08
+	Fig08 = expt.Fig08Ctx
 	// Fig09and10 runs the BHT geometry study.
-	Fig09and10 = expt.Fig09and10
+	Fig09and10 = expt.Fig09and10Ctx
 	// Fig11to13 runs the L1 geometry study.
-	Fig11to13 = expt.Fig11to13
+	Fig11to13 = expt.Fig11to13Ctx
 	// Fig14and15 runs the L2 geometry study (incl. TPC-C 16P).
-	Fig14and15 = expt.Fig14and15
+	Fig14and15 = expt.Fig14and15Ctx
 	// Fig16and17 runs the hardware-prefetch study.
-	Fig16and17 = expt.Fig16and17
+	Fig16and17 = expt.Fig16and17Ctx
 	// Fig18 runs the reservation-station topology study.
-	Fig18 = expt.Fig18
+	Fig18 = expt.Fig18Ctx
 	// Fig19 runs the model-accuracy study.
-	Fig19 = expt.Fig19
-	// AllExperiments runs everything in presentation order.
-	AllExperiments = expt.All
-	// AllExperimentsContext is AllExperiments with a cancellation point:
-	// completed studies still render, missing ones are marked incomplete.
-	AllExperimentsContext = expt.AllContext
+	Fig19 = expt.Fig19Ctx
+	// AllExperiments runs everything in presentation order. On
+	// cancellation completed studies still render, missing ones are marked
+	// incomplete.
+	AllExperiments = expt.AllContext
 )
 
 // RunAccuracyStudy runs the Figure 19 methodology for one workload.
-var RunAccuracyStudy = verif.RunAccuracyStudy
-
-// RunAccuracyStudyContext is RunAccuracyStudy with a cancellation point.
-var RunAccuracyStudyContext = verif.RunAccuracyStudyContext
+var RunAccuracyStudy = verif.RunAccuracyStudyContext
 
 // ReverseTrace converts a trace into an exactly replayable test program
 // (the paper's Reverse Tracer, reference [11]).
